@@ -3,7 +3,6 @@
 from .autodiff import (
     ADAM,
     SGD,
-    Graph,
     Optimizer,
     Tensor,
     backward,

@@ -14,7 +14,7 @@ order. Wrap inference code in ``no_grad()`` to skip tape construction.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class Tensor:
         if self.data.size != 1:
             raise UsageError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -475,60 +472,6 @@ def backward(loss: Tensor) -> None:
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.data)
             parent.grad += g
-
-
-# -- named-leaf computation graphs ----------------------------------------
-
-
-class Graph:
-    """A computation over named leaf tensors.
-
-    `build` maps a dict of leaf tensors to an output tensor. The graph is
-    re-executed eagerly on every `forward`; `backward` then returns one
-    gradient array per leaf (zeros for leaves the output never touched).
-    """
-
-    def __init__(self, build: Callable[[Mapping[str, Tensor]], Tensor], leaves: Iterable[str]):
-        self.build = build
-        self.leaves = tuple(leaves)
-        self._bound: dict[str, Tensor] | None = None
-        self.output: Tensor | None = None
-
-    def forward(self, bindings: Mapping[str, "Tensor | np.ndarray"]) -> Tensor:
-        missing = [name for name in self.leaves if name not in bindings]
-        if missing:
-            raise UsageError(f"forward: missing bindings for leaves {missing}")
-        bound = {}
-        for name in self.leaves:
-            v = bindings[name]
-            t = v if isinstance(v, Tensor) else Tensor(v)
-            t.requires_grad = True
-            t.name = name
-            t.grad = None
-            bound[name] = t
-        out = self.build(bound)
-        if not np.all(np.isfinite(out.data)):
-            raise NumericError("forward produced non-finite values")
-        self._bound = bound
-        self.output = out
-        return out
-
-    def backward(self) -> dict[str, np.ndarray]:
-        if self.output is None or self._bound is None:
-            raise UsageError("backward before forward")
-        backward(self.output)
-        return {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in self._bound.items()
-        }
-
-
-def forward(graph: Graph, bindings: Mapping[str, "Tensor | np.ndarray"]) -> Tensor:
-    return graph.forward(bindings)
-
-
-def backward_graph(graph: Graph) -> dict[str, np.ndarray]:
-    return graph.backward()
 
 
 # -- optimizers -------------------------------------------------------------

@@ -12,19 +12,22 @@ The full pipeline has three stages:
   every position representation, producing a candidates x positions
   probability matrix from cheap per-pair work.
 
-Variant tags select which stages are active and how position information
-enters (not at all, as an additive wide weight, as a learned seen
-probability, or through the combination/interaction stages). The
-`DPIN+ItemAction` variant reruns the whole interaction stage per
-candidate, which is the quality upper bound and the latency worst case.
+`VARIANT_TABLE` is the one place a variant tag is interpreted. Each tag
+names a history stage (flat DIN attention, per-position interaction once
+per request, or once per candidate as in `DPIN+ItemAction`, the quality
+upper bound and latency worst case), a head (plain logit, additive wide
+position weight, PAL seen factor, or the combination MLP), whether the
+transformer runs, and whether evaluation scores every impression at slot 1.
+Training, evaluation and serving all score through `score_displayed`.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,19 +36,52 @@ from .autodiff import Tensor
 from .data import CONTEXT_FIELDS, ITEM_FIELDS, TIME_BUCKETS, USER_FIELDS, Request, VOCAB_FIELDS
 from .errors import FormatError, UsageError
 
-VARIANTS = (
-    "DIN",
-    "DIN+PosInWide",
-    "DIN+PAL",
-    "DIN+ActualPosInWide",
-    "DIN+Combination",
-    "DPIN-Transformer",
-    "DPIN",
-    "DPIN+ItemAction",
-)
+# history stages
+FLAT_HISTORY = "flat"  # DIN attention over the position-blind click history
+PER_REQUEST = "per_request"  # per-position interaction, once per request
+PER_CANDIDATE = "per_candidate"  # per-position interaction, rerun per candidate
 
-_DIN_FAMILY = {"DIN", "DIN+PosInWide", "DIN+PAL", "DIN+ActualPosInWide", "DIN+Combination"}
-_DPIN_FAMILY = {"DPIN-Transformer", "DPIN", "DPIN+ItemAction"}
+# heads
+LOGIT = "logit"  # sigmoid(logit): position ignored
+WIDE = "wide"  # sigmoid(logit + w[k]): additive position weight
+PAL = "pal"  # sigmoid(logit) * sigmoid(s[k]): PAL's click x seen factors
+COMBINATION = "combination"  # combination MLP over (item, position) pairs
+
+_POSITION_TABLES = {WIDE: "wide.position", PAL: "pal.seen"}
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """The stages one variant tag selects."""
+
+    history: str
+    head: str
+    transformer: bool = False
+    eval_at_first_slot: bool = False  # fixed-position inference for evaluation
+
+
+VARIANT_TABLE = MappingProxyType(
+    {
+        "DIN": VariantSpec(FLAT_HISTORY, LOGIT),
+        "DIN+PosInWide": VariantSpec(FLAT_HISTORY, WIDE, eval_at_first_slot=True),
+        "DIN+PAL": VariantSpec(FLAT_HISTORY, PAL),
+        "DIN+ActualPosInWide": VariantSpec(FLAT_HISTORY, WIDE),
+        "DIN+Combination": VariantSpec(FLAT_HISTORY, COMBINATION),
+        "DPIN-Transformer": VariantSpec(PER_REQUEST, COMBINATION),
+        "DPIN": VariantSpec(PER_REQUEST, COMBINATION, transformer=True),
+        "DPIN+ItemAction": VariantSpec(PER_CANDIDATE, COMBINATION, transformer=True),
+    }
+)
+VARIANTS = tuple(VARIANT_TABLE)
+
+
+def variant_spec(variant: str) -> VariantSpec:
+    """The table entry of `variant`; UsageError for an unknown tag."""
+    try:
+        return VARIANT_TABLE[variant]
+    except KeyError:
+        raise UsageError(f"unknown variant {variant!r}; valid tags: {', '.join(VARIANTS)}") from None
+
 
 CHECKPOINT_MAGIC = b"DPIN"
 CHECKPOINT_VERSION = 1
@@ -158,41 +194,27 @@ def _param_specs(config: ModelConfig, variant: str) -> list[tuple[str, str, tupl
         specs.append((f"base.b{i}", "zero", (width,)))
         fan_in = width
 
-    if variant in _DIN_FAMILY:
+    spec = variant_spec(variant)
+    if spec.history == FLAT_HISTORY:
         att_in = config.behavior_dim + config.item_dim
         specs.append(("flat_att.wa", "weight", (att_in, dm)))
         specs.append(("flat_att.ba", "zero", (dm,)))
         specs.append(("flat_att.wb", "weight", (dm, 1)))
         specs.append(("flat_att.bb", "zero", (1,)))
-        if variant == "DIN+Combination":
-            specs.append(("comb.w1", "weight", (config.din_rep_dim + d, config.combination_hidden)))
-            specs.append(("comb.b1", "zero", (config.combination_hidden,)))
-            specs.append(("comb.w2", "weight", (config.combination_hidden, 1)))
-            specs.append(("comb.b2", "zero", (1,)))
-        else:
-            specs.append(("head.w", "weight", (config.din_rep_dim, 1)))
-            specs.append(("head.b", "zero", (1,)))
-        if variant in ("DIN+PosInWide", "DIN+ActualPosInWide"):
-            specs.append(("wide.position", "zero", (config.max_position + 1, 1)))
-        if variant == "DIN+PAL":
-            specs.append(("pal.seen", "zero", (config.max_position + 1, 1)))
-        return specs
+        item_rep_dim, position_rep_dim = config.din_rep_dim, 0
+    else:
+        extra = config.item_dim if spec.history == PER_CANDIDATE else 0
+        att_in = config.behavior_dim + config.context_dim + extra
+        specs.append(("pos_att.wa", "weight", (att_in, dm)))
+        specs.append(("pos_att.ba", "zero", (dm,)))
+        specs.append(("pos_att.wb", "weight", (dm, 1)))
+        specs.append(("pos_att.bb", "zero", (1,)))
+        inter_in = d + config.context_dim + config.behavior_dim + extra
+        specs.append(("inter.wv", "weight", (inter_in, dm)))
+        specs.append(("inter.bv", "zero", (dm,)))
+        item_rep_dim, position_rep_dim = config.item_rep_dim, dm
 
-    if variant not in _DPIN_FAMILY:
-        raise UsageError(f"unknown variant {variant!r}; valid tags: {', '.join(VARIANTS)}")
-
-    extra = config.item_dim if variant == "DPIN+ItemAction" else 0
-    att_in = config.behavior_dim + config.context_dim + extra
-    specs.append(("pos_att.wa", "weight", (att_in, dm)))
-    specs.append(("pos_att.ba", "zero", (dm,)))
-    specs.append(("pos_att.wb", "weight", (dm, 1)))
-    specs.append(("pos_att.bb", "zero", (1,)))
-
-    inter_in = d + config.context_dim + config.behavior_dim + extra
-    specs.append(("inter.wv", "weight", (inter_in, dm)))
-    specs.append(("inter.bv", "zero", (dm,)))
-
-    if variant != "DPIN-Transformer":
+    if spec.transformer:
         dk = dm // config.heads
         for b in range(config.blocks):
             for h in range(config.heads):
@@ -209,19 +231,23 @@ def _param_specs(config: ModelConfig, variant: str) -> list[tuple[str, str, tupl
             specs.append((f"tf{b}.ln2.gain", "one", (dm,)))
             specs.append((f"tf{b}.ln2.bias", "zero", (dm,)))
 
-    comb_in = config.item_rep_dim + dm + d
-    specs.append(("comb.w1", "weight", (comb_in, config.combination_hidden)))
-    specs.append(("comb.b1", "zero", (config.combination_hidden,)))
-    specs.append(("comb.w2", "weight", (config.combination_hidden, 1)))
-    specs.append(("comb.b2", "zero", (1,)))
+    if spec.head == COMBINATION:
+        comb_in = item_rep_dim + position_rep_dim + d
+        specs.append(("comb.w1", "weight", (comb_in, config.combination_hidden)))
+        specs.append(("comb.b1", "zero", (config.combination_hidden,)))
+        specs.append(("comb.w2", "weight", (config.combination_hidden, 1)))
+        specs.append(("comb.b2", "zero", (1,)))
+    else:
+        specs.append(("head.w", "weight", (item_rep_dim, 1)))
+        specs.append(("head.b", "zero", (1,)))
+    if spec.head in _POSITION_TABLES:
+        specs.append((_POSITION_TABLES[spec.head], "zero", (config.max_position + 1, 1)))
     return specs
 
 
 def build_model(config: ModelConfig, variant: str, seed: int) -> ParameterSet:
     """Initialize every tensor of `variant`; deterministic in seed."""
     config.validate()
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; valid tags: {', '.join(VARIANTS)}")
     rng = np.random.default_rng([seed, 0xD1A1])
     tensors: dict[str, Tensor] = {}
     for name, kind, shape in _param_specs(config, variant):
@@ -472,11 +498,6 @@ def combination_forward(
 # -- variant pipelines --------------------------------------------------------
 
 
-def _expand_ids(ids: np.ndarray, times: int) -> np.ndarray:
-    """[B, ...] -> [B*times, ...] repeating each row block `times` times."""
-    return np.repeat(ids, times, axis=0)
-
-
 def _din_item_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     """Base output concatenated with item-queried pooling of the flat history."""
     cfg = params.config
@@ -487,38 +508,33 @@ def _din_item_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
     seq_emb = behavior_embedding(
         params,
-        _expand_ids(prep.flat_item_ids, j).reshape(-1, 2),
-        _expand_ids(prep.flat_context_ids, j).reshape(-1, 4),
-        _expand_ids(prep.flat_buckets, j).reshape(-1),
+        np.repeat(prep.flat_item_ids, j, axis=0).reshape(-1, 2),
+        np.repeat(prep.flat_context_ids, j, axis=0).reshape(-1, 4),
+        np.repeat(prep.flat_buckets, j, axis=0).reshape(-1),
     )
     seq3 = ad.reshape(seq_emb, (b * j, seq_len, cfg.behavior_dim))
-    mask = _expand_ids(prep.flat_mask, j)
+    mask = np.repeat(prep.flat_mask, j, axis=0)
     agg = interest_aggregation(params, seq3, mask, item_vec, weight_prefix="flat_att")
     return ad.concat([base, agg], axis=1)
 
 
-def _din_logit(params: ParameterSet, rep: Tensor) -> Tensor:
-    return ad.matmul(rep, params.tensors["head.w"]) + params.tensors["head.b"]
-
-
-def _dpin_position_rep(
-    params: ParameterSet, prep: PreparedBatch, per_item: bool
-) -> Tensor:
+def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     """Per-position representations.
 
     Returns [B*K, d_model], or [B*J*K, d_model] ordered (request, item,
-    position) when the interaction stage is rerun per candidate.
+    position) when the variant reruns the interaction stage per candidate.
     """
     cfg = params.config
+    spec = variant_spec(params.variant)
     b, j, k, seq_len = prep.size, prep.num_items, cfg.max_position, cfg.max_len
     ctx_vec = _embed_concat(params, CONTEXT_FIELDS, prep.context_ids)
 
-    if per_item:
+    if spec.history == PER_CANDIDATE:
         groups = b * j * k
-        seq_item = _expand_ids(prep.seq_item_ids, j)
-        seq_ctx = _expand_ids(prep.seq_context_ids, j)
-        seq_bucket = _expand_ids(prep.seq_buckets, j)
-        mask = _expand_ids(prep.seq_mask, j).reshape(groups, seq_len)
+        seq_item = np.repeat(prep.seq_item_ids, j, axis=0)
+        seq_ctx = np.repeat(prep.seq_context_ids, j, axis=0)
+        seq_bucket = np.repeat(prep.seq_buckets, j, axis=0)
+        mask = np.repeat(prep.seq_mask, j, axis=0).reshape(groups, seq_len)
         ctx_groups = ad.repeat_rows(ad.repeat_rows(ctx_vec, j), k)
         item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
         item_groups = ad.repeat_rows(item_vec, k)
@@ -540,7 +556,7 @@ def _dpin_position_rep(
 
     pos_ids = np.tile(np.arange(1, k + 1), batch_rows)
     v = position_interaction(params, pos_ids, ctx_groups, pooled, item_query=item_groups)
-    if params.variant == "DPIN-Transformer":
+    if not spec.transformer:
         return v
     encoded = transformer_encode(params, ad.reshape(v, (batch_rows, k, cfg.d_model)))
     return ad.reshape(encoded, (groups, cfg.d_model))
@@ -554,44 +570,52 @@ def _position_table_column(params: ParameterSet, name: str, position_ids: np.nda
 def score_displayed(
     params: ParameterSet, prep: PreparedBatch, positions: np.ndarray | None = None
 ) -> Tensor:
-    """Click probability for each displayed (item, logged position) sample.
+    """Click probability of each candidate at its slot or slots.
 
-    `positions` overrides the logged positions (used by evaluation
-    protocols that score at a fixed slot); ordering stays request-major.
+    `positions` is [B*J], one slot per candidate (the logged positions when
+    omitted), or [B*J, P], P slots per candidate. The result is [B*J*P],
+    candidate-major. The item side runs once per candidate and the position
+    side once per request (once per candidate for the per-candidate history
+    stage); the two are then paired row by row.
     """
-    variant = params.variant
-    cfg = params.config
+    spec = variant_spec(params.variant)
     if positions is None:
         if prep.positions is None:
             raise UsageError("score_displayed needs logged positions")
         positions = prep.positions
-    b, j, k = prep.size, prep.num_items, cfg.max_position
+    b, j, k = prep.size, prep.num_items, params.config.max_position
+    positions = np.asarray(positions)
+    if positions.ndim not in (1, 2) or positions.shape[0] != b * j:
+        raise UsageError(f"score_displayed needs [{b * j}] or [{b * j}, P] positions, got {positions.shape}")
+    slots = 1 if positions.ndim == 1 else positions.shape[1]
+    positions = positions.reshape(-1)
 
-    if variant in _DIN_FAMILY:
-        rep = _din_item_rep(params, prep)
-        if variant == "DIN":
-            return ad.reshape(ad.sigmoid(_din_logit(params, rep)), (b * j,))
-        if variant in ("DIN+PosInWide", "DIN+ActualPosInWide"):
-            logit = ad.reshape(_din_logit(params, rep), (b * j,))
-            return ad.sigmoid(logit + _position_table_column(params, "wide.position", positions))
-        if variant == "DIN+PAL":
-            p_click = ad.reshape(ad.sigmoid(_din_logit(params, rep)), (b * j,))
-            p_seen = ad.sigmoid(_position_table_column(params, "pal.seen", positions))
-            return p_click * p_seen
-        return combination_forward(params, rep, None, positions)
-
-    base = base_module_forward(
-        params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1)
-    )
-    if variant == "DPIN+ItemAction":
-        r_pos = _dpin_position_rep(params, prep, per_item=True)
-        # row (b, j) pairs with its own position block
-        row_idx = np.arange(b * j) * k + (positions - 1)
+    if spec.history == FLAT_HISTORY:
+        item_rep, position_rep = _din_item_rep(params, prep), None
     else:
-        r_pos = _dpin_position_rep(params, prep, per_item=False)
-        row_idx = np.repeat(np.arange(b), j) * k + (positions - 1)
-    selected = ad.gather_rows(r_pos, row_idx)
-    return combination_forward(params, base, selected, positions)
+        item_rep = base_module_forward(
+            params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1)
+        )
+        # the block of K position rows each candidate reads: its own, or its request's
+        owner = np.arange(b * j) if spec.history == PER_CANDIDATE else np.repeat(np.arange(b), j)
+        row_idx = np.repeat(owner, slots) * k + (positions - 1)
+        position_rep = ad.gather_rows(_dpin_position_rep(params, prep), row_idx)
+
+    if spec.head == COMBINATION:
+        return combination_forward(params, ad.repeat_rows(item_rep, slots), position_rep, positions)
+    logit = ad.matmul(item_rep, params.tensors["head.w"]) + params.tensors["head.b"]
+    logit = ad.reshape(ad.repeat_rows(logit, slots), (positions.size,))
+    if spec.head == WIDE:
+        return ad.sigmoid(logit + _position_table_column(params, _POSITION_TABLES[WIDE], positions))
+    p_click = ad.sigmoid(logit)
+    if spec.head == PAL:
+        return p_click * ad.sigmoid(_position_table_column(params, _POSITION_TABLES[PAL], positions))
+    return p_click
+
+
+def evaluation_positions(params: ParameterSet, logged: np.ndarray) -> np.ndarray:
+    """The slots evaluation scores impressions at: logged, or slot 1 for fixed-position inference."""
+    return np.ones_like(logged) if variant_spec(params.variant).eval_at_first_slot else logged
 
 
 def predict_matrix(params: ParameterSet, request: Request) -> np.ndarray:
@@ -600,57 +624,11 @@ def predict_matrix(params: ParameterSet, request: Request) -> np.ndarray:
     Row j is independent of the other candidates; for the factorized
     variants the interaction stage runs once regardless of J.
     """
-    cfg = params.config
-    variant = params.variant
-    prep = prepare_batch([request], cfg)
-    j, k = prep.num_items, cfg.max_position
-    pos_tiled = np.tile(np.arange(1, k + 1), j)
-
-    with ad.no_grad():
-        if variant in _DIN_FAMILY:
-            rep = _din_item_rep(params, prep)
-            if variant == "DIN":
-                p = ad.sigmoid(_din_logit(params, rep))
-                matrix = ad.reshape(ad.repeat_rows(p, k), (j, k))
-            elif variant in ("DIN+PosInWide", "DIN+ActualPosInWide"):
-                logit = ad.repeat_rows(_din_logit(params, rep), k)
-                shift = _position_table_column(params, "wide.position", pos_tiled)
-                matrix = ad.reshape(ad.sigmoid(ad.reshape(logit, (j * k,)) + shift), (j, k))
-            elif variant == "DIN+PAL":
-                p_click = ad.reshape(ad.repeat_rows(ad.sigmoid(_din_logit(params, rep)), k), (j * k,))
-                p_seen = ad.sigmoid(_position_table_column(params, "pal.seen", pos_tiled))
-                matrix = ad.reshape(p_click * p_seen, (j, k))
-            else:
-                pairs = ad.repeat_rows(rep, k)
-                matrix = ad.reshape(combination_forward(params, pairs, None, pos_tiled), (j, k))
-            return matrix.data.copy()
-
-        base = base_module_forward(
-            params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(1, j, -1)
-        )
-        if variant == "DPIN+ItemAction":
-            r_pos = _dpin_position_rep(params, prep, per_item=True)
-        else:
-            per_position = _dpin_position_rep(params, prep, per_item=False)
-            r_pos = ad.tile_rows(per_position, j)
-        pairs = ad.repeat_rows(base, k)
-        matrix = ad.reshape(combination_forward(params, pairs, r_pos, pos_tiled), (j, k))
-        return matrix.data.copy()
-
-
-def pal_heads(params: ParameterSet, request: Request) -> tuple[np.ndarray, np.ndarray]:
-    """Expose both factors of the seen/click decomposition: ([J], [K])."""
-    if params.variant != "DIN+PAL":
-        raise UsageError("pal_heads is only defined for the DIN+PAL variant")
     prep = prepare_batch([request], params.config)
-    k = params.config.max_position
+    j, k = prep.num_items, params.config.max_position
     with ad.no_grad():
-        rep = _din_item_rep(params, prep)
-        p_click = ad.sigmoid(_din_logit(params, rep)).data.reshape(-1)
-        p_seen = ad.sigmoid(
-            _position_table_column(params, "pal.seen", np.arange(1, k + 1))
-        ).data.reshape(-1)
-    return p_click.copy(), p_seen.copy()
+        scores = score_displayed(params, prep, np.tile(np.arange(1, k + 1), (j, 1)))
+    return scores.data.reshape(j, k).copy()
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -54,10 +54,13 @@ def synthetic_request(config: ModelConfig, n_items: int, seed) -> Request:
             bucket=int(rng.integers(0, TIME_BUCKETS)),
         )
 
+    per_position = [[record() for _ in range(config.max_len)] for _ in range(config.max_position)]
     sequences = PositionBehaviorSequences(
         max_position=config.max_position,
         max_len=config.max_len,
-        per_position=[[record() for _ in range(config.max_len)] for _ in range(config.max_position)],
+        per_position=per_position,
+        # most recent first regardless of position: round-robin over the positions
+        flat=[rec for recent in zip(*per_position) for rec in recent][: config.max_len],
     )
     candidates = [
         Candidate(item_ids=(int(draw("item_id")), int(draw("category"))), bid=float(np.exp(rng.normal(0.0, 0.3))))
@@ -201,13 +204,9 @@ def benchmark_latency(
         raise UsageError("benchmark needs at least 30 trials per cell")
     if warmup < 5:
         raise UsageError("benchmark needs at least 5 warm-up evaluations")
-    configs = {id(p.config): p.config for p in params_by_variant.values()}
-    if len(configs) > 1:
-        cfgs = list(params_by_variant.values())
-        if any(c.config != cfgs[0].config for c in cfgs):
-            raise UsageError("benchmark variants must share one ModelConfig")
-    any_params = next(iter(params_by_variant.values()))
-    cfg = any_params.config
+    cfg = next(iter(params_by_variant.values())).config
+    if any(p.config != cfg for p in params_by_variant.values()):
+        raise UsageError("benchmark variants must share one ModelConfig")
 
     rows: list[LatencyRow] = []
     for variant in params_by_variant:

@@ -20,10 +20,9 @@ from .metrics import PaucReport, pauc
 from .model import (
     ModelConfig,
     ParameterSet,
-    PreparedBatch,
     build_model,
+    evaluation_positions,
     load_checkpoint,
-    predict_matrix,
     prepare_batch,
     save_checkpoint,
     score_displayed,
@@ -91,13 +90,6 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def _eval_positions(variant: str, logged: np.ndarray) -> np.ndarray:
-    # the first-position protocol: score as if everything sat at slot 1
-    if variant == "DIN+PosInWide":
-        return np.ones_like(logged)
-    return logged
-
-
 def score_requests(
     params: ParameterSet, requests: list[Request], batch_requests: int = 64
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,7 +107,7 @@ def score_requests(
             prep = prepare_batch(chunk, params.config)
             if prep.positions is None or prep.clicks is None:
                 raise UsageError("score_requests needs requests with logged impressions")
-            p = score_displayed(params, prep, positions=_eval_positions(params.variant, prep.positions))
+            p = score_displayed(params, prep, positions=evaluation_positions(params, prep.positions))
             scores.append(p.data.copy())
             clicks.append(prep.clicks.copy())
             positions.append(prep.positions.copy())

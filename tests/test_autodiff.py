@@ -1,4 +1,4 @@
-"""Unit tests for the tensor engine: ops, graphs, optimizers, grad checking."""
+"""Unit tests for the tensor engine: ops, the gradient tape, optimizers, grad checking."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import posrank.autodiff as ad
-from posrank.autodiff import Graph, Optimizer, Tensor
+from posrank.autodiff import Optimizer, Tensor
 from posrank.errors import NumericError, UsageError
 
 
@@ -76,14 +76,14 @@ class TestLayerNorm:
 
 
 class TestGraph:
+    """Forward ops called directly, as the model calls them."""
+
     def test_sigmoid_at_zero(self):
-        g = Graph(lambda leaves: ad.sigmoid(leaves["x"]), ["x"])
-        out = g.forward({"x": np.zeros(1)})
+        out = ad.sigmoid(Tensor(np.zeros(1)))
         assert out.data[0] == 0.5
 
     def test_relu_definition(self):
-        g = Graph(lambda leaves: ad.relu(leaves["x"]), ["x"])
-        out = g.forward({"x": np.array([-1.0, 2.0])})
+        out = ad.relu(Tensor(np.array([-1.0, 2.0])))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_forward_is_bit_deterministic(self):
@@ -91,23 +91,14 @@ class TestGraph:
         w = rng.normal(size=(7, 3))
         x = rng.normal(size=(4, 7))
 
-        def build(leaves):
-            return ad.total_sum(ad.softmax(ad.matmul(leaves["x"], leaves["w"])))
+        def run():
+            return ad.total_sum(ad.softmax(ad.matmul(Tensor(x), Tensor(w, requires_grad=True)))).data
 
-        g = Graph(build, ["x", "w"])
-        a = g.forward({"x": x, "w": w}).data.copy()
-        b = g.forward({"x": x, "w": w}).data.copy()
-        assert a.tobytes() == b.tobytes()
-
-    def test_missing_binding_rejected(self):
-        g = Graph(lambda leaves: leaves["x"] + leaves["y"], ["x", "y"])
-        with pytest.raises(UsageError, match="y"):
-            g.forward({"x": np.zeros(2)})
+        assert run().tobytes() == run().tobytes()
 
     def test_shape_mismatch_names_the_op(self):
-        g = Graph(lambda leaves: ad.matmul(leaves["a"], leaves["b"]), ["a", "b"])
         with pytest.raises(UsageError, match="matmul"):
-            g.forward({"a": np.zeros((2, 3)), "b": np.zeros((4, 2))})
+            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
 class TestBackward:
@@ -128,11 +119,12 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, np.zeros(9), atol=1e-14)
 
     def test_unused_leaf_gets_zero_gradient(self):
-        g = Graph(lambda leaves: ad.total_sum(leaves["x"] * leaves["x"]), ["x", "unused"])
-        g.forward({"x": np.ones(3), "unused": np.ones(2)})
-        grads = g.backward()
-        np.testing.assert_array_equal(grads["unused"], np.zeros(2))
-        np.testing.assert_allclose(grads["x"], 2 * np.ones(3))
+        x = Tensor(np.ones(3), requires_grad=True)
+        unused = Tensor(np.ones(2), requires_grad=True)
+        ad.backward(ad.total_sum(x * x))
+        # an untouched leaf keeps grad None, which Optimizer.step skips
+        assert unused.grad is None
+        np.testing.assert_allclose(x.grad, 2 * np.ones(3))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -17,7 +17,6 @@ from posrank.model import (
     combination_forward,
     interest_aggregation,
     load_checkpoint,
-    pal_heads,
     position_interaction,
     predict_matrix,
     prepare_batch,
@@ -324,13 +323,14 @@ class TestPredictMatrix:
     def test_pal_is_an_outer_product_of_heads(self):
         cfg = tiny_config()
         params = build_model(cfg, "DIN+PAL", seed=9)
-        rng = np.random.default_rng(14)
-        params.tensors["pal.seen"].data[:] = rng.normal(size=(cfg.max_position + 1, 1))
         req = synthetic_request(cfg, 4, seed=14)
-        m = predict_matrix(params, req)
-        p_click, p_seen = pal_heads(params, req)
-        np.testing.assert_array_equal(m, np.outer(p_click, p_seen))
-        assert p_seen.shape == (cfg.max_position,)
+        seen = params.tensors["pal.seen"].data
+        seen[:] = 40.0  # sigmoid(40) == 1.0 exactly, so every column is p_click
+        assert ad.sigmoid(Tensor(seen)).data.min() == 1.0
+        p_click = predict_matrix(params, req)[:, 0]
+        seen[:] = np.random.default_rng(14).normal(size=(cfg.max_position + 1, 1))
+        p_seen = ad.sigmoid(Tensor(seen[1:, 0])).data
+        assert predict_matrix(params, req).tobytes() == np.outer(p_click, p_seen).tobytes()
 
     def test_dpin_rows_survive_candidate_removal_bitwise(self):
         cfg = tiny_config()
@@ -356,7 +356,7 @@ class TestPredictMatrix:
             base = base_module_forward(
                 params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(1, 4, -1)
             )
-            r_pos = _dpin_position_rep(params, prep, per_item=False)
+            r_pos = _dpin_position_rep(params, prep)
             for j in range(4):
                 for k in range(1, cfg.max_position + 1):
                     single = combination_forward(
@@ -371,13 +371,33 @@ class TestPredictMatrix:
     def test_score_displayed_matches_matrix_at_logged_positions(self, variant):
         cfg = tiny_config()
         params = build_model(cfg, variant, seed=10)
-        req = labeled_request(cfg, seed=17)
-        prep = prepare_batch([req], cfg)
+        requests = [labeled_request(cfg, seed=s) for s in (17, 18, 19)]
+        prep = prepare_batch(requests, cfg)
         with ad.no_grad():
-            scored = score_displayed(params, prep).data
-        m = predict_matrix(params, req)
-        for s, (j, k) in enumerate(zip(range(len(req.candidates)), req.positions)):
-            assert scored[s] == pytest.approx(m[j, k - 1], abs=1e-12)
+            scored = score_displayed(params, prep).data.reshape(len(requests), -1)
+        for row, req in zip(scored, requests):
+            m = predict_matrix(params, req)
+            for j, k in enumerate(req.positions):
+                assert row[j] == m[j, k - 1]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_slot_grid_scores_every_candidate_at_every_slot(self, variant):
+        cfg = tiny_config()
+        params = build_model(cfg, variant, seed=10)
+        requests = [labeled_request(cfg, seed=s) for s in (17, 18)]
+        prep = prepare_batch(requests, cfg)
+        grid = np.tile(np.arange(1, cfg.max_position + 1), (prep.size * prep.num_items, 1))
+        with ad.no_grad():
+            scored = score_displayed(params, prep, grid).data
+        expected = np.concatenate([predict_matrix(params, r).reshape(-1) for r in requests])
+        assert scored.tobytes() == expected.tobytes()
+
+    def test_positions_of_the_wrong_length_rejected(self):
+        cfg = tiny_config()
+        params = build_model(cfg, "DPIN", seed=10)
+        prep = prepare_batch([labeled_request(cfg, seed=17)], cfg)
+        with pytest.raises(UsageError, match="positions"):
+            score_displayed(params, prep, np.ones(cfg.max_position + 1, dtype=np.int64))
 
 
 class TestCheckpoints:
@@ -433,3 +453,8 @@ class TestGradientFidelity:
 
         err = ad.gradient_check(build_loss, params.tensors, epsilon=1e-6, max_coords_per_tensor=6)
         assert err < 1e-5, f"{variant}: max relative error {err:.2e}"
+        # every history record reaches the loss (the attention logit bias
+        # cancels in the softmax, so only its gradient may vanish)
+        att = "flat_att" if "flat_att.wa" in params.tensors else "pos_att"
+        for name in (f"{att}.wa", f"{att}.ba", f"{att}.wb", "embed.time_bucket"):
+            assert np.any(params.tensors[name].grad != 0), name
