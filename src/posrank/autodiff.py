@@ -1,10 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Everything runs on numpy. Matrix products go through ``np.einsum`` with
-``optimize=False``: unlike BLAS they are bitwise reproducible per row, so
-a row computed inside a large batch is identical to the same row computed
-alone. Several contracts elsewhere in the package (per-candidate
-independence, fast path == definitional path) rely on this.
+Everything runs on numpy. Forward matrix products are bitwise
+reproducible per row: a row computed inside a large batch is identical to
+the same row computed alone. Several contracts elsewhere in the package
+(per-candidate independence, fast path == definitional path) rely on this.
+A plain BLAS GEMM does not keep it, because it picks its blocking, its
+micro-kernel edge cases and its thread split from the whole matrix shape,
+so one output row is summed in a different order depending on how many
+rows share the call. ``matmul`` and ``bmm`` instead make one BLAS gemv call
+per output row: every row is then the same gemv, with the same shape and
+the same summation order, whatever the batch around it.
 
 Gradients are built lazily: each op records its parents and a vector-
 Jacobian closure; ``backward`` walks the tape in reverse topological
@@ -36,13 +41,19 @@ def no_grad():
 
 
 def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # einsum(optimize=False) accumulates each output element in a fixed
-    # order independent of the number of rows; BLAS does not.
-    return np.einsum("ij,jk->ik", a, b, optimize=False)
+    # [m,1,k] @ [k,n] makes numpy call one gemv per row of `a`: each row's
+    # sum runs in an order fixed by (k, n) alone, not by m as in a GEMM.
+    # Contiguous operands give every call the same BLAS gemv whatever the
+    # caller's layout: a transposed view takes another kernel or numpy's
+    # own loop and sums in another order.
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[:, None, :], b)[:, 0, :]
 
 
 def _row_stable_bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("bij,bjk->bik", a, b, optimize=False)
+    # the same per-row gemv, against the matrix of each row's batch element
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[:, :, None, :], b[:, None, :, :])[:, :, 0, :]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -275,19 +286,6 @@ def repeat_rows(a: Tensor, times: int) -> Tensor:
 
     def vjp(g):
         return (g.reshape(n, times, -1).sum(axis=1),)
-
-    return _make(data, (a,), vjp)
-
-
-def tile_rows(a: Tensor, times: int) -> Tensor:
-    """Stack `times` copies of the whole matrix: [r0,..,rn,r0,..,rn,..]."""
-    if a.ndim != 2:
-        raise UsageError(f"tile_rows needs a matrix, got shape {a.shape}")
-    n = a.shape[0]
-    data = np.tile(a.data, (times, 1))
-
-    def vjp(g):
-        return (g.reshape(times, n, -1).sum(axis=0),)
 
     return _make(data, (a,), vjp)
 

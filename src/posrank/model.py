@@ -17,7 +17,8 @@ names a history stage (flat DIN attention, per-position interaction once
 per request, or once per candidate as in `DPIN+ItemAction`, the quality
 upper bound and latency worst case), a head (plain logit, additive wide
 position weight, PAL seen factor, or the combination MLP), whether the
-transformer runs, and whether evaluation scores every impression at slot 1.
+transformer runs, and whether evaluation and serving score every
+impression at slot 1.
 Training, evaluation and serving all score through `score_displayed`.
 """
 
@@ -57,7 +58,7 @@ class VariantSpec:
     history: str
     head: str
     transformer: bool = False
-    eval_at_first_slot: bool = False  # fixed-position inference for evaluation
+    eval_at_first_slot: bool = False  # fixed-position inference: evaluation and serving score at slot 1
 
 
 VARIANT_TABLE = MappingProxyType(
@@ -506,13 +507,15 @@ def _din_item_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
         params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1)
     )
     item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
+    # embed the request's history once; every candidate reads a copy of it
     seq_emb = behavior_embedding(
         params,
-        np.repeat(prep.flat_item_ids, j, axis=0).reshape(-1, 2),
-        np.repeat(prep.flat_context_ids, j, axis=0).reshape(-1, 4),
-        np.repeat(prep.flat_buckets, j, axis=0).reshape(-1),
+        prep.flat_item_ids.reshape(-1, 2),
+        prep.flat_context_ids.reshape(-1, 4),
+        prep.flat_buckets.reshape(-1),
     )
-    seq3 = ad.reshape(seq_emb, (b * j, seq_len, cfg.behavior_dim))
+    seq_rows = ad.repeat_rows(ad.reshape(seq_emb, (b, seq_len * cfg.behavior_dim)), j)
+    seq3 = ad.reshape(seq_rows, (b * j, seq_len, cfg.behavior_dim))
     mask = np.repeat(prep.flat_mask, j, axis=0)
     agg = interest_aggregation(params, seq3, mask, item_vec, weight_prefix="flat_att")
     return ad.concat([base, agg], axis=1)
@@ -528,12 +531,17 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     spec = variant_spec(params.variant)
     b, j, k, seq_len = prep.size, prep.num_items, cfg.max_position, cfg.max_len
     ctx_vec = _embed_concat(params, CONTEXT_FIELDS, prep.context_ids)
+    seq_emb = behavior_embedding(
+        params,
+        prep.seq_item_ids.reshape(-1, 2),
+        prep.seq_context_ids.reshape(-1, 4),
+        prep.seq_buckets.reshape(-1),
+    )
 
     if spec.history == PER_CANDIDATE:
         groups = b * j * k
-        seq_item = np.repeat(prep.seq_item_ids, j, axis=0)
-        seq_ctx = np.repeat(prep.seq_context_ids, j, axis=0)
-        seq_bucket = np.repeat(prep.seq_buckets, j, axis=0)
+        # the history is embedded once per request and copied to each candidate
+        seq_emb = ad.repeat_rows(ad.reshape(seq_emb, (b, k * seq_len * cfg.behavior_dim)), j)
         mask = np.repeat(prep.seq_mask, j, axis=0).reshape(groups, seq_len)
         ctx_groups = ad.repeat_rows(ad.repeat_rows(ctx_vec, j), k)
         item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
@@ -541,15 +549,11 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
         batch_rows = b * j
     else:
         groups = b * k
-        seq_item, seq_ctx, seq_bucket = prep.seq_item_ids, prep.seq_context_ids, prep.seq_buckets
         mask = prep.seq_mask.reshape(groups, seq_len)
         ctx_groups = ad.repeat_rows(ctx_vec, k)
         item_groups = None
         batch_rows = b
 
-    seq_emb = behavior_embedding(
-        params, seq_item.reshape(-1, 2), seq_ctx.reshape(-1, 4), seq_bucket.reshape(-1)
-    )
     seq3 = ad.reshape(seq_emb, (groups, seq_len, cfg.behavior_dim))
     query = ctx_groups if item_groups is None else ad.concat([ctx_groups, item_groups], axis=1)
     pooled = interest_aggregation(params, seq3, mask, query, weight_prefix="pos_att")
@@ -622,12 +626,15 @@ def predict_matrix(params: ParameterSet, request: Request) -> np.ndarray:
     """CTR of every candidate at every position: [J, K], entries in (0, 1).
 
     Row j is independent of the other candidates; for the factorized
-    variants the interaction stage runs once regardless of J.
+    variants the interaction stage runs once regardless of J. Each slot is
+    scored as evaluation scores it (`evaluation_positions`), so a
+    fixed-position variant serves its slot-1 score in every column.
     """
     prep = prepare_batch([request], params.config)
     j, k = prep.num_items, params.config.max_position
+    grid = evaluation_positions(params, np.tile(np.arange(1, k + 1), (j, 1)))
     with ad.no_grad():
-        scores = score_displayed(params, prep, np.tile(np.arange(1, k + 1), (j, 1)))
+        scores = score_displayed(params, prep, grid)
     return scores.data.reshape(j, k).copy()
 
 

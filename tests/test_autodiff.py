@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posrank.autodiff as ad
 from posrank.autodiff import Optimizer, Tensor
@@ -177,8 +179,8 @@ def _op_cases():
          lambda t: ad.total_sum(ad.gather_rows(t["x"], idx) * c_gather)),
         ("concat_reshape", {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 4))},
          lambda t: ad.total_sum(ad.reshape(ad.concat([t["a"], t["b"]], axis=1), (2, 9)) * c_cat)),
-        ("repeat_tile", {"x": rng.normal(size=(3, 4))},
-         lambda t: ad.total_sum(ad.repeat_rows(t["x"], 2) * 1.5) + ad.total_sum(ad.tile_rows(t["x"], 3))),
+        ("repeat_rows", {"x": rng.normal(size=(3, 4))},
+         lambda t: ad.total_sum(ad.repeat_rows(t["x"], 2) * 1.5)),
         ("transpose_bmm", {"q": rng.normal(size=(2, 3, 4)), "k": rng.normal(size=(2, 3, 4))},
          lambda t: ad.total_sum(ad.softmax(ad.bmm(t["q"], ad.transpose_last2(t["k"]))) * c_att)),
         ("bce", {"logits": rng.normal(size=8)},
@@ -256,3 +258,68 @@ class TestElementwiseProperties:
         with ad.no_grad():
             y = ad.total_sum(x * 2.0)
         assert not y.requires_grad
+
+
+def _operand(rng, shape, transposed):
+    """A float64 array of `shape`; a non-contiguous transposed view when asked."""
+    if not transposed:
+        return rng.normal(size=shape)
+    return np.swapaxes(rng.normal(size=shape[:-2] + (shape[-1], shape[-2])), -1, -2)
+
+
+def _einsum_bound(a, b, subscripts):
+    # |fl(a@b) - a@b| <= k*eps*(|a|@|b|) (to first order) for any summation
+    # order of k terms, so two such results differ by at most twice that
+    k = a.shape[-1]
+    return 4 * k * np.finfo(np.float64).eps * np.einsum(subscripts, np.abs(a), np.abs(b), optimize=False)
+
+
+def _span(cut, size):
+    """A non-empty contiguous range [lo, hi) of range(size) from two fractions."""
+    lo, hi = sorted(min(int(c * size), size - 1) for c in cut)
+    return lo, hi + 1
+
+
+_KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestRowStableKernels:
+    """matmul and bmm give each row the same bits alone as inside any batch,
+    for C-ordered and transposed operands alike."""
+
+    @_KERNEL_SETTINGS
+    @given(
+        m=st.integers(1, 40), k=st.integers(1, 70), n=st.integers(1, 40),
+        ta=st.booleans(), tb=st.booleans(), cut=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matmul_rows_are_batch_independent(self, m, k, n, ta, tb, cut, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _operand(rng, (m, k), ta), _operand(rng, (k, n), tb)
+        full = ad.matmul(Tensor(a), Tensor(b)).data
+        # the operands' memory layout does not change a bit
+        assert full.tobytes() == ad.matmul(Tensor(a.copy()), Tensor(b.copy())).data.tobytes()
+        lo, hi = _span(cut, m)
+        sub = ad.matmul(Tensor(a[lo:hi]), Tensor(b)).data
+        assert sub.tobytes() == full[lo:hi].tobytes()
+        ref = np.einsum("ij,jk->ik", a, b, optimize=False)
+        assert np.all(np.abs(full - ref) <= _einsum_bound(a, b, "ij,jk->ik"))
+
+    @_KERNEL_SETTINGS
+    @given(
+        nb=st.integers(1, 8), m=st.integers(1, 12), k=st.integers(1, 30), n=st.integers(1, 12),
+        ta=st.booleans(), tb=st.booleans(),
+        batch_cut=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        row_cut=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bmm_batches_and_rows_are_independent(self, nb, m, k, n, ta, tb, batch_cut, row_cut, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _operand(rng, (nb, m, k), ta), _operand(rng, (nb, k, n), tb)
+        full = ad.bmm(Tensor(a), Tensor(b)).data
+        assert full.tobytes() == ad.bmm(Tensor(a.copy()), Tensor(b.copy())).data.tobytes()
+        (b0, b1), (r0, r1) = _span(batch_cut, nb), _span(row_cut, m)
+        sub = ad.bmm(Tensor(a[b0:b1, r0:r1]), Tensor(b[b0:b1])).data
+        assert sub.tobytes() == full[b0:b1, r0:r1].tobytes()
+        ref = np.einsum("bij,bjk->bik", a, b, optimize=False)
+        assert np.all(np.abs(full - ref) <= _einsum_bound(a, b, "bij,bjk->bik"))

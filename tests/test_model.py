@@ -15,6 +15,7 @@ from posrank.model import (
     behavior_embedding,
     build_model,
     combination_forward,
+    evaluation_positions,
     interest_aggregation,
     load_checkpoint,
     position_interaction,
@@ -25,6 +26,7 @@ from posrank.model import (
     transformer_encode,
 )
 from posrank.serving import synthetic_request
+from posrank.train import score_requests
 
 from conftest import desk_config, labeled_request, tiny_config
 
@@ -292,6 +294,14 @@ class TestCombination:
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
 
+def _randomize_position_tables(params):
+    """Give the wide and PAL position tables distinct per-slot values (they start at 0)."""
+    for name in ("wide.position", "pal.seen"):
+        if name in params.tensors:
+            table = params.tensors[name].data
+            table[:] = np.random.default_rng(20).normal(size=table.shape)
+
+
 class TestPredictMatrix:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_entries_in_unit_interval(self, variant):
@@ -384,13 +394,25 @@ class TestPredictMatrix:
     def test_slot_grid_scores_every_candidate_at_every_slot(self, variant):
         cfg = tiny_config()
         params = build_model(cfg, variant, seed=10)
+        _randomize_position_tables(params)
         requests = [labeled_request(cfg, seed=s) for s in (17, 18)]
         prep = prepare_batch(requests, cfg)
         grid = np.tile(np.arange(1, cfg.max_position + 1), (prep.size * prep.num_items, 1))
+        # a fixed-position variant is served at the slots it is evaluated at
         with ad.no_grad():
-            scored = score_displayed(params, prep, grid).data
+            scored = score_displayed(params, prep, evaluation_positions(params, grid)).data
         expected = np.concatenate([predict_matrix(params, r).reshape(-1) for r in requests])
         assert scored.tobytes() == expected.tobytes()
+
+    def test_fixed_position_variant_serves_its_evaluation_score(self):
+        cfg = tiny_config()
+        params = build_model(cfg, "DIN+PosInWide", seed=10)
+        _randomize_position_tables(params)
+        requests = [labeled_request(cfg, seed=s) for s in (17, 18)]
+        offline, _, _ = score_requests(params, requests)
+        served = np.stack([predict_matrix(params, r) for r in requests])
+        for k in range(cfg.max_position):
+            assert served[:, :, k].tobytes() == offline.tobytes()
 
     def test_positions_of_the_wrong_length_rejected(self):
         cfg = tiny_config()
