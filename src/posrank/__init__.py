@@ -10,18 +10,15 @@ from .autodiff import (
     no_grad,
 )
 from .data import (
-    Impression,
     RawBehavior,
     RawImpression,
     Request,
     Vocabulary,
     build_position_behavior_sequences,
     encode_history,
-    encode_impression,
     group_requests,
     read_behaviors,
     read_impressions,
-    split_dataset,
     write_behaviors,
     write_impressions,
 )

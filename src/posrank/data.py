@@ -12,15 +12,22 @@ behaviors (one row per historical click):
 Tokens are arbitrary strings; integer ids are assigned per field with id 0
 reserved for unknown/padding. Time differences are bucketed into 16
 logarithmic minute buckets.
+
+Click histories are int64 id arrays in one column order, `HISTORY_COLUMNS`:
+item_id, category, query, geo, hour, dow, time_bucket. `encode_history`
+gives each user one ts-ascending array of rows (ts, position, then the six
+vocabulary ids); `build_position_behavior_sequences` cuts it at a request's
+timestamp into `[n, 7]` rows (the six ids, then the recency bucket), one
+most-recent-first sequence per display position, stored back to back.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import FormatError, UsageError
 
@@ -52,6 +59,9 @@ VOCAB_FIELDS = USER_FIELDS + CONTEXT_FIELDS + ITEM_FIELDS
 TRAFFIC_KINDS = ("regular", "randomized")
 
 TIME_BUCKETS = 16
+
+# one row per historical click: the clicked item, its click-time context, its recency
+HISTORY_COLUMNS = ITEM_FIELDS + CONTEXT_FIELDS + ("time_bucket",)
 
 
 @dataclass
@@ -174,50 +184,6 @@ class Vocabulary:
         return vocab
 
 
-@dataclass
-class Impression:
-    """An encoded impression: every token replaced by its vocabulary id."""
-
-    request_id: str
-    day: int
-    traffic: str
-    user_ids: tuple[int, int]
-    context_ids: tuple[int, int, int, int]
-    item_ids: tuple[int, int]
-    position: int
-    bid: float
-    click: int
-    ts: int
-
-
-def encode_impression(raw: RawImpression, vocab: Vocabulary, max_position: int) -> Impression:
-    if not 1 <= raw.position <= max_position:
-        raise UsageError(f"position {raw.position} outside [1, {max_position}]")
-    if raw.click not in (0, 1):
-        raise UsageError(f"click must be 0 or 1, got {raw.click}")
-    if raw.bid <= 0:
-        raise UsageError(f"bid must be positive, got {raw.bid}")
-    if raw.traffic not in TRAFFIC_KINDS:
-        raise UsageError(f"traffic must be one of {TRAFFIC_KINDS}, got {raw.traffic!r}")
-    return Impression(
-        request_id=raw.request_id,
-        day=raw.day,
-        traffic=raw.traffic,
-        user_ids=(vocab.encode("user_id", raw.user_id), vocab.encode("segment", raw.segment)),
-        context_ids=(
-            vocab.encode("query", raw.query),
-            vocab.encode("geo", raw.geo),
-            vocab.encode("hour", raw.hour),
-            vocab.encode("dow", raw.dow),
-        ),
-        item_ids=(vocab.encode("item_id", raw.item_id), vocab.encode("category", raw.category)),
-        position=raw.position,
-        bid=raw.bid,
-        click=raw.click,
-        ts=raw.ts,
-    )
-
-
 # -- file I/O ---------------------------------------------------------------
 
 
@@ -313,121 +279,105 @@ def write_behaviors(path, behaviors: Iterable[RawBehavior]) -> None:
 # -- behavior sequences ------------------------------------------------------
 
 
-def time_bucket(delta_seconds: int) -> int:
-    """16 logarithmic minute buckets: min(15, floor(log2(1 + dt/60)))."""
-    if delta_seconds < 0:
+# dt falls in bucket b >= 1 exactly when log2(1 + dt/60) >= b, i.e. dt >= 60 * (2**b - 1)
+_BUCKET_EDGES = 60 * (2 ** np.arange(1, TIME_BUCKETS, dtype=np.int64) - 1)
+
+
+def time_bucket(delta_seconds):
+    """16 logarithmic minute buckets: min(15, floor(log2(1 + dt/60))), elementwise."""
+    dt = np.asarray(delta_seconds)
+    if (dt < 0).any():
         raise UsageError("time_bucket needs a non-negative time difference")
-    return min(TIME_BUCKETS - 1, int(math.floor(math.log2(1.0 + delta_seconds / 60.0))))
-
-
-@dataclass
-class BehaviorRecord:
-    """An encoded historical click: item/context ids plus a recency bucket."""
-
-    item_ids: tuple[int, int]
-    context_ids: tuple[int, int, int, int]
-    bucket: int
-
-
-@dataclass
-class HistoryEvent:
-    """An encoded behavior row, pre-vocabulary-mapped and timestamped."""
-
-    ts: int
-    position: int
-    item_ids: tuple[int, int]
-    context_ids: tuple[int, int, int, int]
+    return _BUCKET_EDGES.searchsorted(dt, side="right")
 
 
 @dataclass
 class PositionBehaviorSequences:
     """Per display position: the user's most recent clicks at that position.
 
-    Sequences are most-recent-first and truncated to `max_len`; `flat` holds
-    the most recent `max_len` clicks regardless of position. Clicks at or
-    after `reference_ts` never enter (leakage guard); how many were dropped
-    is kept for diagnostics.
+    `records` holds the sequences of positions 1..K back to back, `lengths[k-1]`
+    rows for position k, each most recent first and at most `max_len` long;
+    `flat` holds the most recent `max_len` clicks regardless of position. Rows
+    are in `HISTORY_COLUMNS` order. Clicks at or after `reference_ts` never
+    enter (leakage guard); how many were dropped is kept for diagnostics.
     """
 
-    max_position: int
-    max_len: int
-    per_position: list[list[BehaviorRecord]]
-    flat: list[BehaviorRecord] = field(default_factory=list)
+    records: np.ndarray  # [R, 7]
+    lengths: np.ndarray  # [K]
+    flat: np.ndarray  # [F, 7]
     leaked: int = 0
 
-    def at(self, position: int) -> list[BehaviorRecord]:
+    @property
+    def max_position(self) -> int:
+        return len(self.lengths)
+
+    def at(self, position: int) -> np.ndarray:
+        """The `[n_k, 7]` sequence of `position`, most recent first."""
         if not 1 <= position <= self.max_position:
             raise UsageError(f"position {position} outside [1, {self.max_position}]")
-        return self.per_position[position - 1]
-
-    def flattened(self) -> list[BehaviorRecord]:
-        return self.flat
+        start = int(self.lengths[: position - 1].sum())
+        return self.records[start : start + int(self.lengths[position - 1])]
 
 
-def encode_history(behaviors: Sequence[RawBehavior], vocab: Vocabulary) -> dict[str, list[HistoryEvent]]:
-    """Group behavior rows per user token, sorted by timestamp ascending."""
-    grouped: dict[str, list[HistoryEvent]] = {}
+# columns of an encoded history: ts, position, then the ids of HISTORY_COLUMNS[:-1]
+_TS, _POSITION, _IDS = 0, 1, slice(2, None)
+_NO_HISTORY = np.zeros((0, len(HISTORY_COLUMNS) + 1), dtype=np.int64)
+_NO_HISTORY.flags.writeable = False
+
+
+def _ids(vocab: Vocabulary, fields: tuple[str, ...], row) -> tuple[int, ...]:
+    return tuple(vocab.encode(f, getattr(row, f)) for f in fields)
+
+
+def encode_history(behaviors: Sequence[RawBehavior], vocab: Vocabulary) -> dict[str, np.ndarray]:
+    """Per user token, the user's clicks as one int64 array sorted by ts ascending.
+
+    Rows are (ts, position, item_id, category, query, geo, hour, dow).
+    """
+    grouped: dict[str, list[tuple[int, ...]]] = {}
     for b in behaviors:
-        grouped.setdefault(b.user_id, []).append(
-            HistoryEvent(
-                ts=b.ts,
-                position=b.position,
-                item_ids=(vocab.encode("item_id", b.item_id), vocab.encode("category", b.category)),
-                context_ids=(
-                    vocab.encode("query", b.query),
-                    vocab.encode("geo", b.geo),
-                    vocab.encode("hour", b.hour),
-                    vocab.encode("dow", b.dow),
-                ),
-            )
-        )
-    for events in grouped.values():
-        events.sort(key=lambda e: e.ts)
-    return grouped
+        grouped.setdefault(b.user_id, []).append((b.ts, b.position) + _ids(vocab, HISTORY_COLUMNS[:-1], b))
+    history: dict[str, np.ndarray] = {}
+    for user, rows in grouped.items():
+        events = np.array(rows, dtype=np.int64)
+        history[user] = events[np.argsort(events[:, _TS], kind="stable")]
+    return history
 
 
 def build_position_behavior_sequences(
-    history: Sequence[HistoryEvent],
+    history: np.ndarray,
     reference_ts: int,
     max_position: int,
     max_len: int,
 ) -> PositionBehaviorSequences:
     """Split a user's click history into per-position sequences.
 
-    `history` must be sorted by ts ascending. An event logged at position k
-    lands only in sequence k. The most recent `max_len` events are kept per
+    `history` is one user's `encode_history` array, sorted by ts ascending.
+    An event logged at position k lands only in sequence k; events at other
+    positions are ignored. The most recent `max_len` events are kept per
     position; events at or after `reference_ts` are excluded and counted.
+    The result holds copies, so it does not keep `history` alive.
     """
-    per_position: list[list[BehaviorRecord]] = [[] for _ in range(max_position)]
-    flat: list[BehaviorRecord] = []
-    leaked = len(history) - bisect_left([e.ts for e in history], reference_ts)
-    cutoff = len(history) - leaked
-    for idx in range(cutoff - 1, -1, -1):
-        event = history[idx]
-        if not 1 <= event.position <= max_position:
-            continue
-        seq = per_position[event.position - 1]
-        if len(seq) >= max_len and len(flat) >= max_len:
-            continue
-        record = BehaviorRecord(
-            item_ids=event.item_ids,
-            context_ids=event.context_ids,
-            bucket=time_bucket(reference_ts - event.ts),
-        )
-        if len(seq) < max_len:
-            seq.append(record)
-        if len(flat) < max_len:
-            flat.append(record)
+    cutoff = int(history[:, _TS].searchsorted(reference_ts))
+    past = history[:cutoff][::-1]  # most recent first
+    past = past[(past[:, _POSITION] >= 1) & (past[:, _POSITION] <= max_position)]
+    rows = np.empty((len(past), len(HISTORY_COLUMNS)), dtype=np.int64)
+    rows[:, :-1] = past[:, _IDS]
+    rows[:, -1] = time_bucket(reference_ts - past[:, _TS])
+
+    # stable sort by position keeps each position's events most recent first
+    order = past[:, _POSITION].argsort(kind="stable")
+    counts = np.bincount(past[:, _POSITION] - 1, minlength=max_position)
+    rank = np.arange(len(order)) - (counts.cumsum() - counts).repeat(counts)
     return PositionBehaviorSequences(
-        max_position=max_position,
-        max_len=max_len,
-        per_position=per_position,
-        flat=flat,
-        leaked=leaked,
+        records=rows[order[rank < max_len]],
+        lengths=np.minimum(counts, max_len),
+        flat=rows[:max_len].copy(),
+        leaked=len(history) - cutoff,
     )
 
 
-# -- request grouping and dataset splits -------------------------------------
+# -- request grouping -------------------------------------------------------
 
 
 @dataclass
@@ -457,10 +407,21 @@ class Request:
         return len(self.candidates)
 
 
+def _check_impression(raw: RawImpression, max_position: int) -> None:
+    if not 1 <= raw.position <= max_position:
+        raise UsageError(f"position {raw.position} outside [1, {max_position}]")
+    if raw.click not in (0, 1):
+        raise UsageError(f"click must be 0 or 1, got {raw.click}")
+    if raw.bid <= 0:
+        raise UsageError(f"bid must be positive, got {raw.bid}")
+    if raw.traffic not in TRAFFIC_KINDS:
+        raise UsageError(f"traffic must be one of {TRAFFIC_KINDS}, got {raw.traffic!r}")
+
+
 def group_requests(
     raw_impressions: Sequence[RawImpression],
     vocab: Vocabulary,
-    history_by_user: dict[str, list[HistoryEvent]],
+    history_by_user: dict[str, np.ndarray],
     max_position: int,
     max_len: int,
 ) -> list[Request]:
@@ -468,50 +429,31 @@ def group_requests(
 
     `history_by_user` is keyed by the raw user token (see encode_history).
     Requests come out in first-appearance order; displayed items are sorted
-    by position.
+    by position. Every impression is validated (UsageError) and encoded.
     """
     by_request: dict[str, list[RawImpression]] = {}
-    order: list[str] = []
     for raw in raw_impressions:
-        if raw.request_id not in by_request:
-            by_request[raw.request_id] = []
-            order.append(raw.request_id)
-        by_request[raw.request_id].append(raw)
+        by_request.setdefault(raw.request_id, []).append(raw)
 
     requests: list[Request] = []
-    for rid in order:
-        raws = sorted(by_request[rid], key=lambda r: r.position)
-        rows = [encode_impression(r, vocab, max_position) for r in raws]
-        first = rows[0]
-        history = history_by_user.get(raws[0].user_id, [])
-        sequences = build_position_behavior_sequences(history, first.ts, max_position, max_len)
+    for rid, raws in by_request.items():
+        raws = sorted(raws, key=lambda r: r.position)
+        for raw in raws:
+            _check_impression(raw, max_position)
+        first = raws[0]
+        history = history_by_user.get(first.user_id, _NO_HISTORY)
         requests.append(
             Request(
                 request_id=rid,
                 day=first.day,
                 traffic=first.traffic,
                 ts=first.ts,
-                user_ids=first.user_ids,
-                context_ids=first.context_ids,
-                candidates=[Candidate(item_ids=r.item_ids, bid=r.bid) for r in rows],
-                sequences=sequences,
-                positions=[r.position for r in rows],
-                clicks=[r.click for r in rows],
+                user_ids=_ids(vocab, USER_FIELDS, first),
+                context_ids=_ids(vocab, CONTEXT_FIELDS, first),
+                candidates=[Candidate(item_ids=_ids(vocab, ITEM_FIELDS, r), bid=r.bid) for r in raws],
+                sequences=build_position_behavior_sequences(history, first.ts, max_position, max_len),
+                positions=[r.position for r in raws],
+                clicks=[r.click for r in raws],
             )
         )
     return requests
-
-
-def split_dataset(
-    impressions: Sequence[Impression], test_day: int
-) -> tuple[list[Impression], list[Impression], list[Impression]]:
-    """(train, regular-test, randomized-test) split by day and traffic kind.
-
-    Train is every impression from days strictly before `test_day`; the two
-    test partitions cover exactly the impressions of `test_day`.
-    """
-    train = [i for i in impressions if i.day < test_day]
-    test = [i for i in impressions if i.day == test_day]
-    regular = [i for i in test if i.traffic == "regular"]
-    randomized = [i for i in test if i.traffic == "randomized"]
-    return train, regular, randomized

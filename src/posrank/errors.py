@@ -1,8 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to one stable CLI exit code (see cli.EXIT_CODES):
-usage errors 1, numeric failures 2, undefined metrics 3, file format
-problems 4.
+Each class maps to one stable command-line exit code: usage errors 1,
+numeric failures 2, undefined metrics 3, file format problems 4.
 """
 
 

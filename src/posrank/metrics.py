@@ -35,15 +35,11 @@ def auc(scores, labels) -> float:
 
     order = np.argsort(s, kind="stable")
     sorted_s = s[order]
-    # midranks: average 1-based rank within each tie group
+    # midranks: average 1-based rank within each tie group [start, end)
+    start = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    end = np.r_[start[1:], s.size]
     ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end - 1) + 1.0, end - start)
     rank_sum_pos = ranks[y == 1].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import CONTEXT_FIELDS, ITEM_FIELDS, TIME_BUCKETS, USER_FIELDS, Request, VOCAB_FIELDS
+from .data import CONTEXT_FIELDS, HISTORY_COLUMNS, ITEM_FIELDS, TIME_BUCKETS, USER_FIELDS, Request, VOCAB_FIELDS
 from .errors import FormatError, UsageError
 
 # history stages
@@ -126,7 +126,7 @@ class ModelConfig:
     @property
     def behavior_dim(self) -> int:
         # clicked item fields + click-time context fields + recency bucket
-        return (len(ITEM_FIELDS) + len(CONTEXT_FIELDS) + 1) * self.embed_dim
+        return len(HISTORY_COLUMNS) * self.embed_dim
 
     @property
     def item_rep_dim(self) -> int:
@@ -278,19 +278,20 @@ class PreparedBatch:
     context_ids: np.ndarray  # [B, 4]
     item_ids: np.ndarray  # [B*J, 2], request-major
     bids: np.ndarray  # [B*J]
-    seq_item_ids: np.ndarray  # [B, K, L, 2]
-    seq_context_ids: np.ndarray  # [B, K, L, 4]
-    seq_buckets: np.ndarray  # [B, K, L]
+    seq_ids: np.ndarray  # [B, K, L, 7] in HISTORY_COLUMNS order
     seq_mask: np.ndarray  # [B, K, L] float 0/1
-    flat_item_ids: np.ndarray  # [B, L, 2]
-    flat_context_ids: np.ndarray  # [B, L, 4]
-    flat_buckets: np.ndarray  # [B, L]
+    flat_ids: np.ndarray  # [B, L, 7]
     flat_mask: np.ndarray  # [B, L] float 0/1
     positions: np.ndarray | None = None  # [B*J] logged display positions
     clicks: np.ndarray | None = None  # [B*J] float 0/1
 
 
 def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch:
+    """Stack requests into dense arrays, cutting histories to the model's K and L.
+
+    Logged labels are kept when every request carries them; a request must
+    then have one position in [1, K] and one click per candidate.
+    """
     if not requests:
         raise UsageError("prepare_batch needs at least one request")
     k_max = config.max_position
@@ -298,64 +299,52 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
     n_items = requests[0].num_candidates
     if any(r.num_candidates != n_items for r in requests):
         raise UsageError("all requests in a batch must have the same candidate count")
+    if any(r.sequences.max_position < k_max for r in requests):
+        raise UsageError("request sequences cover fewer positions than the model expects")
 
     b = len(requests)
-    user_ids = np.zeros((b, len(USER_FIELDS)), dtype=np.int64)
-    context_ids = np.zeros((b, len(CONTEXT_FIELDS)), dtype=np.int64)
-    item_ids = np.zeros((b * n_items, len(ITEM_FIELDS)), dtype=np.int64)
-    bids = np.zeros(b * n_items)
-    seq_item = np.zeros((b, k_max, seq_len, len(ITEM_FIELDS)), dtype=np.int64)
-    seq_ctx = np.zeros((b, k_max, seq_len, len(CONTEXT_FIELDS)), dtype=np.int64)
-    seq_bucket = np.zeros((b, k_max, seq_len), dtype=np.int64)
-    seq_mask = np.zeros((b, k_max, seq_len))
-    flat_item = np.zeros((b, seq_len, len(ITEM_FIELDS)), dtype=np.int64)
-    flat_ctx = np.zeros((b, seq_len, len(CONTEXT_FIELDS)), dtype=np.int64)
-    flat_bucket = np.zeros((b, seq_len), dtype=np.int64)
-    flat_mask = np.zeros((b, seq_len))
-
-    have_labels = all(r.positions and r.clicks for r in requests)
-    positions = np.zeros(b * n_items, dtype=np.int64) if have_labels else None
-    clicks = np.zeros(b * n_items) if have_labels else None
-
+    n_cols = len(HISTORY_COLUMNS)
+    seq_ids = np.zeros((b, k_max, seq_len, n_cols), dtype=np.int64)
+    flat_ids = np.zeros((b, seq_len, n_cols), dtype=np.int64)
     for bi, req in enumerate(requests):
-        user_ids[bi] = req.user_ids
-        context_ids[bi] = req.context_ids
-        for j, cand in enumerate(req.candidates):
-            item_ids[bi * n_items + j] = cand.item_ids
-            bids[bi * n_items + j] = cand.bid
-        if req.sequences.max_position < k_max:
-            raise UsageError("request sequences cover fewer positions than the model expects")
-        for k in range(1, k_max + 1):
-            for l, rec in enumerate(req.sequences.at(k)[:seq_len]):
-                seq_item[bi, k - 1, l] = rec.item_ids
-                seq_ctx[bi, k - 1, l] = rec.context_ids
-                seq_bucket[bi, k - 1, l] = rec.bucket
-                seq_mask[bi, k - 1, l] = 1.0
-        for l, rec in enumerate(req.sequences.flattened()[:seq_len]):
-            flat_item[bi, l] = rec.item_ids
-            flat_ctx[bi, l] = rec.context_ids
-            flat_bucket[bi, l] = rec.bucket
-            flat_mask[bi, l] = 1.0
-        if have_labels:
-            for j, (pos, click) in enumerate(zip(req.positions, req.clicks)):
-                positions[bi * n_items + j] = pos
-                clicks[bi * n_items + j] = click
+        for k in range(k_max):
+            rows = req.sequences.at(k + 1)[:seq_len]  # most recent first
+            seq_ids[bi, k, : len(rows)] = rows
+        rows = req.sequences.flat[:seq_len]
+        flat_ids[bi, : len(rows)] = rows
+    seq_lengths = np.minimum([r.sequences.lengths[:k_max] for r in requests], seq_len)
+    flat_lengths = np.minimum([len(r.sequences.flat) for r in requests], seq_len)
+    steps = np.arange(seq_len)
+
+    labelled = [bool(r.positions or r.clicks) for r in requests]
+    positions = clicks = None
+    if any(labelled):
+        if not all(labelled):
+            raise UsageError("a batch mixes requests with and without logged impressions")
+        for req in requests:
+            if len(req.positions) != n_items or len(req.clicks) != n_items:
+                raise UsageError(
+                    f"request {req.request_id!r} logs {len(req.positions)} positions and "
+                    f"{len(req.clicks)} clicks for {n_items} candidates"
+                )
+        positions = np.array([p for r in requests for p in r.positions], dtype=np.int64)
+        clicks = np.array([c for r in requests for c in r.clicks], dtype=np.float64)
+        if np.any((positions < 1) | (positions > k_max)):
+            raise UsageError(f"logged positions must lie in [1, {k_max}]")
 
     return PreparedBatch(
         size=b,
         num_items=n_items,
-        user_ids=user_ids,
-        context_ids=context_ids,
-        item_ids=item_ids,
-        bids=bids,
-        seq_item_ids=seq_item,
-        seq_context_ids=seq_ctx,
-        seq_buckets=seq_bucket,
-        seq_mask=seq_mask,
-        flat_item_ids=flat_item,
-        flat_context_ids=flat_ctx,
-        flat_buckets=flat_bucket,
-        flat_mask=flat_mask,
+        user_ids=np.array([r.user_ids for r in requests], dtype=np.int64),
+        context_ids=np.array([r.context_ids for r in requests], dtype=np.int64),
+        item_ids=np.array([c.item_ids for r in requests for c in r.candidates], dtype=np.int64).reshape(
+            b * n_items, len(ITEM_FIELDS)
+        ),
+        bids=np.array([c.bid for r in requests for c in r.candidates], dtype=np.float64),
+        seq_ids=seq_ids,
+        seq_mask=(steps < seq_lengths[..., None]).astype(np.float64),
+        flat_ids=flat_ids,
+        flat_mask=(steps < flat_lengths[:, None]).astype(np.float64),
         positions=positions,
         clicks=clicks,
     )
@@ -373,14 +362,13 @@ def _embed_concat(params: ParameterSet, fields: tuple[str, ...], ids: np.ndarray
     return ad.concat(parts, axis=1)
 
 
-def behavior_embedding(
-    params: ParameterSet, item_ids: np.ndarray, context_ids: np.ndarray, buckets: np.ndarray
-) -> Tensor:
-    """Embed one historical click: item fields, click-time context, recency."""
-    items = _embed_concat(params, ITEM_FIELDS, item_ids)
-    ctx = _embed_concat(params, CONTEXT_FIELDS, context_ids)
-    rec = ad.embedding(params.tensors["embed.time_bucket"], buckets.reshape(-1))
-    return ad.concat([items, ctx, rec], axis=1)
+def behavior_embedding(params: ParameterSet, ids: np.ndarray) -> Tensor:
+    """Embed historical clicks: ids [..., 7] in HISTORY_COLUMNS order -> [N, 7*d].
+
+    Each row concatenates the clicked item's fields, the click-time context
+    and the recency bucket.
+    """
+    return _embed_concat(params, HISTORY_COLUMNS, ids)
 
 
 def base_module_forward(
@@ -508,12 +496,7 @@ def _din_item_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     )
     item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
     # embed the request's history once; every candidate reads a copy of it
-    seq_emb = behavior_embedding(
-        params,
-        prep.flat_item_ids.reshape(-1, 2),
-        prep.flat_context_ids.reshape(-1, 4),
-        prep.flat_buckets.reshape(-1),
-    )
+    seq_emb = behavior_embedding(params, prep.flat_ids)
     seq_rows = ad.repeat_rows(ad.reshape(seq_emb, (b, seq_len * cfg.behavior_dim)), j)
     seq3 = ad.reshape(seq_rows, (b * j, seq_len, cfg.behavior_dim))
     mask = np.repeat(prep.flat_mask, j, axis=0)
@@ -531,12 +514,7 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     spec = variant_spec(params.variant)
     b, j, k, seq_len = prep.size, prep.num_items, cfg.max_position, cfg.max_len
     ctx_vec = _embed_concat(params, CONTEXT_FIELDS, prep.context_ids)
-    seq_emb = behavior_embedding(
-        params,
-        prep.seq_item_ids.reshape(-1, 2),
-        prep.seq_context_ids.reshape(-1, 4),
-        prep.seq_buckets.reshape(-1),
-    )
+    seq_emb = behavior_embedding(params, prep.seq_ids)
 
     if spec.history == PER_CANDIDATE:
         groups = b * j * k

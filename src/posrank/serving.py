@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    BehaviorRecord,
-    Candidate,
-    PositionBehaviorSequences,
-    Request,
-    TIME_BUCKETS,
-)
+from .data import HISTORY_COLUMNS, TIME_BUCKETS, Candidate, PositionBehaviorSequences, Request
 from .errors import UsageError
 from .model import ModelConfig, ParameterSet, predict_matrix
 
@@ -44,23 +38,18 @@ def synthetic_request(config: ModelConfig, n_items: int, seed) -> Request:
     """A deterministic request with full behavior sequences, for benchmarking."""
     rng = np.random.default_rng(seed)
 
-    def draw(field_name: str, size=None):
-        return rng.integers(0, config.vocab_sizes[field_name], size=size)
+    def draw(field_name: str):
+        return rng.integers(0, config.vocab_sizes[field_name])
 
-    def record() -> BehaviorRecord:
-        return BehaviorRecord(
-            item_ids=(int(draw("item_id")), int(draw("category"))),
-            context_ids=(int(draw("query")), int(draw("geo")), int(draw("hour")), int(draw("dow"))),
-            bucket=int(rng.integers(0, TIME_BUCKETS)),
-        )
-
-    per_position = [[record() for _ in range(config.max_len)] for _ in range(config.max_position)]
+    k, seq_len = config.max_position, config.max_len
+    highs = [config.vocab_sizes[f] for f in HISTORY_COLUMNS[:-1]] + [TIME_BUCKETS]
+    records = rng.integers(0, highs, size=(k * seq_len, len(HISTORY_COLUMNS)))
+    # most recent first regardless of position: round-robin over the positions
+    recent = np.arange(seq_len)
     sequences = PositionBehaviorSequences(
-        max_position=config.max_position,
-        max_len=config.max_len,
-        per_position=per_position,
-        # most recent first regardless of position: round-robin over the positions
-        flat=[rec for recent in zip(*per_position) for rec in recent][: config.max_len],
+        records=records,
+        lengths=np.full(k, seq_len),
+        flat=records[(recent % k) * seq_len + recent // k],
     )
     candidates = [
         Candidate(item_ids=(int(draw("item_id")), int(draw("category"))), bid=float(np.exp(rng.normal(0.0, 0.3))))

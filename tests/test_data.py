@@ -1,22 +1,22 @@
 """Vocabularies, log file round-trips and behavior sequence construction."""
 
+import math
+
 import numpy as np
 import pytest
 
 from posrank.data import (
-    BEHAVIOR_COLUMNS,
-    HistoryEvent,
+    HISTORY_COLUMNS,
     IMPRESSION_COLUMNS,
+    VOCAB_FIELDS,
     RawBehavior,
     RawImpression,
     Vocabulary,
     build_position_behavior_sequences,
     encode_history,
-    encode_impression,
     group_requests,
     read_behaviors,
     read_impressions,
-    split_dataset,
     time_bucket,
     write_behaviors,
     write_impressions,
@@ -75,52 +75,49 @@ class TestVocabulary:
 
 
 class TestEncodeImpression:
+    """group_requests validates every logged impression and encodes its tokens."""
+
+    def _group(self, raws, vocab=None):
+        vocab = vocab or Vocabulary.build(raws)
+        return group_requests(raws, vocab, {}, max_position=10, max_len=4)
+
     def test_valid_row(self):
-        vocab = Vocabulary.build([_imp()])
-        imp = encode_impression(_imp(click=1, position=1), vocab, max_position=10)
-        assert imp.click == 1 and imp.position == 1
-        assert imp.user_ids == (1, 1)
+        (req,) = self._group([_imp(click=1, position=1)])
+        assert req.clicks == [1] and req.positions == [1]
+        assert req.user_ids == (1, 1)
+        assert req.context_ids == (1, 1, 1, 1) and req.candidates[0].item_ids == (1, 1)
 
     def test_positions_are_one_based(self):
         vocab = Vocabulary.build([_imp()])
-        with pytest.raises(UsageError):
-            encode_impression(_imp(position=0), vocab, max_position=10)
-        with pytest.raises(UsageError):
-            encode_impression(_imp(position=11), vocab, max_position=10)
+        with pytest.raises(UsageError, match="position 0 outside"):
+            self._group([_imp(position=0)], vocab)
+        with pytest.raises(UsageError, match="position 11 outside"):
+            self._group([_imp(position=1), _imp(position=11)], vocab)
 
     def test_click_must_be_binary(self):
-        vocab = Vocabulary.build([_imp()])
-        with pytest.raises(UsageError):
-            encode_impression(_imp(click=2), vocab, max_position=10)
+        with pytest.raises(UsageError, match="click must be 0 or 1"):
+            self._group([_imp(click=2)])
+
+    def test_bid_and_traffic_are_checked(self):
+        with pytest.raises(UsageError, match="bid must be positive"):
+            self._group([_imp(bid=0.0)])
+        with pytest.raises(UsageError, match="traffic must be one of"):
+            self._group([_imp(traffic="organic")])
 
     def test_unseen_query_becomes_zero(self):
         vocab = Vocabulary.build([_imp(query="seen")])
-        imp = encode_impression(_imp(query="unseen"), vocab, max_position=10)
-        assert imp.context_ids[0] == 0
+        (req,) = self._group([_imp(query="unseen")], vocab)
+        assert req.context_ids[0] == 0
 
     def test_reencoding_decoded_form_is_identity(self):
         rows = [_imp(item_id=f"i{n}", query=f"q{n}") for n in range(5)]
         vocab = Vocabulary.build(rows)
-        for raw in rows:
-            enc = encode_impression(raw, vocab, max_position=10)
-            rebuilt = RawImpression(
-                request_id=enc.request_id,
-                day=enc.day,
-                traffic=enc.traffic,
-                user_id=vocab.decode("user_id", enc.user_ids[0]),
-                segment=vocab.decode("segment", enc.user_ids[1]),
-                query=vocab.decode("query", enc.context_ids[0]),
-                geo=vocab.decode("geo", enc.context_ids[1]),
-                hour=vocab.decode("hour", enc.context_ids[2]),
-                dow=vocab.decode("dow", enc.context_ids[3]),
-                item_id=vocab.decode("item_id", enc.item_ids[0]),
-                category=vocab.decode("category", enc.item_ids[1]),
-                position=enc.position,
-                bid=enc.bid,
-                click=enc.click,
-                ts=enc.ts,
-            )
-            assert encode_impression(rebuilt, vocab, max_position=10) == enc
+        for f in VOCAB_FIELDS:
+            for raw in rows:
+                token = getattr(raw, f)
+                assert vocab.decode(f, vocab.encode(f, token)) == token
+            for idx in range(1, vocab.size(f)):
+                assert vocab.encode(f, vocab.decode(f, idx)) == idx
 
 
 class TestFileRoundTrip:
@@ -191,46 +188,83 @@ class TestTimeBucket:
         buckets = [time_bucket(g) for g in gaps]
         assert buckets == sorted(buckets)
 
+    def test_arrays_match_the_scalar_definition(self):
+        def definition(dt):
+            return min(15, int(math.floor(math.log2(1.0 + dt / 60.0))))
+
+        edges = 60 * (2 ** np.arange(1, 16) - 1)
+        for gaps in (np.arange(2 * 10**6 + 1), np.concatenate([edges - 1, edges, edges + 1])):
+            expected = np.array([definition(dt) for dt in gaps.tolist()])
+            np.testing.assert_array_equal(time_bucket(gaps), expected)
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(UsageError):
+            time_bucket(np.array([60, -1]))
+
 
 def _event(ts, position, item=1):
-    return HistoryEvent(ts=ts, position=position, item_ids=(item, 1), context_ids=(1, 1, 1, 1))
+    """An encode_history row: ts, position, item_id, category, query, geo, hour, dow."""
+    return (ts, position, item, 11, 12, 13, 14, 15)
+
+
+def _history(events):
+    return np.array(events, dtype=np.int64).reshape(-1, len(HISTORY_COLUMNS) + 1)
 
 
 class TestSequences:
     def test_no_history_gives_empty_sequences(self):
-        seqs = build_position_behavior_sequences([], reference_ts=1000, max_position=5, max_len=3)
+        seqs = build_position_behavior_sequences(_history([]), reference_ts=1000, max_position=5, max_len=3)
         assert all(len(seqs.at(k)) == 0 for k in range(1, 6))
-        assert seqs.flattened() == []
+        assert seqs.flat.shape == (0, len(HISTORY_COLUMNS))
 
     def test_truncation_keeps_most_recent(self):
         events = [_event(100, 2, item=1), _event(200, 2, item=2), _event(300, 2, item=3)]
-        seqs = build_position_behavior_sequences(events, reference_ts=1000, max_position=5, max_len=2)
-        kept = [rec.item_ids[0] for rec in seqs.at(2)]
-        assert kept == [3, 2]  # most recent first
+        seqs = build_position_behavior_sequences(_history(events), reference_ts=1000, max_position=5, max_len=2)
+        assert seqs.at(2)[:, 0].tolist() == [3, 2]  # most recent first
         assert all(len(seqs.at(k)) == 0 for k in (1, 3, 4, 5))
 
     def test_placement_respects_positions(self):
         events = [_event(t, pos) for t, pos in [(10, 1), (20, 3), (30, 1), (40, 2)]]
-        seqs = build_position_behavior_sequences(events, reference_ts=100, max_position=4, max_len=10)
+        seqs = build_position_behavior_sequences(_history(events), reference_ts=100, max_position=4, max_len=10)
         assert [len(seqs.at(k)) for k in range(1, 5)] == [2, 1, 1, 0]
+        assert seqs.lengths.tolist() == [2, 1, 1, 0]
+
+    def test_events_outside_the_positions_are_ignored(self):
+        events = [_event(10, 0, item=1), _event(20, 2, item=2), _event(30, 3, item=3)]
+        seqs = build_position_behavior_sequences(_history(events), reference_ts=100, max_position=2, max_len=10)
+        assert seqs.records[:, 0].tolist() == [2] and seqs.flat[:, 0].tolist() == [2]
+
+    def test_at_checks_its_range(self):
+        seqs = build_position_behavior_sequences(_history([]), reference_ts=100, max_position=3, max_len=2)
+        for position in (0, 4):
+            with pytest.raises(UsageError, match="outside"):
+                seqs.at(position)
 
     def test_leakage_guard_counts_excluded_events(self):
         events = [_event(10, 1), _event(999, 1), _event(1000, 1), _event(1500, 1)]
-        seqs = build_position_behavior_sequences(events, reference_ts=1000, max_position=2, max_len=10)
+        seqs = build_position_behavior_sequences(_history(events), reference_ts=1000, max_position=2, max_len=10)
         assert seqs.leaked == 2  # ts >= reference excluded
         assert len(seqs.at(1)) == 2
 
     def test_bucket_arithmetic_in_records(self):
-        events = [_event(940, 1)]
-        seqs = build_position_behavior_sequences(events, reference_ts=1000, max_position=1, max_len=5)
-        assert seqs.at(1)[0].bucket == time_bucket(60) == 1
+        events = [_event(940, 1, item=7)]
+        seqs = build_position_behavior_sequences(_history(events), reference_ts=1000, max_position=1, max_len=5)
+        assert seqs.at(1)[0, -1] == time_bucket(60) == 1
+        # the six ids in HISTORY_COLUMNS order, then the recency bucket
+        assert seqs.at(1)[0].tolist() == [7, 11, 12, 13, 14, 15, 1]
 
-    def test_flattened_merges_by_recency(self):
+    def test_flat_merges_by_recency(self):
         # history arrives ts-ascending; flat keeps the most recent across positions
         events = [_event(10, 1, item=1), _event(30, 3, item=3), _event(50, 2, item=2)]
-        seqs = build_position_behavior_sequences(events, reference_ts=100, max_position=3, max_len=2)
-        flat = [rec.item_ids[0] for rec in seqs.flattened()]
-        assert flat == [2, 3]
+        seqs = build_position_behavior_sequences(_history(events), reference_ts=100, max_position=3, max_len=2)
+        assert seqs.flat[:, 0].tolist() == [2, 3]
+
+    def test_sequences_own_their_rows(self):
+        # a view would keep a larger buffer (the user's whole history) alive
+        history = _history([_event(t, 1 + t % 2, item=t) for t in range(1, 9)])
+        seqs = build_position_behavior_sequences(history, reference_ts=100, max_position=2, max_len=3)
+        for part in (seqs.records, seqs.flat, seqs.lengths):
+            assert part.base is None
 
 
 class TestSplitAndGrouping:
@@ -251,23 +285,6 @@ class TestSplitAndGrouping:
                     )
         return rows
 
-    def test_split_is_a_partition(self):
-        raws = self._dataset()
-        vocab = Vocabulary.build(raws)
-        imps = [encode_impression(r, vocab, 10) for r in raws]
-        train, regular, randomized = split_dataset(imps, test_day=2)
-        test_total = [i for i in imps if i.day == 2]
-        assert len(train) == 16 and len(regular) + len(randomized) == len(test_total)
-        assert all(i.day < 2 for i in train)
-        assert all(i.traffic == "randomized" for i in randomized)
-
-    def test_all_regular_means_empty_randomized(self):
-        raws = [r for r in self._dataset() if r.traffic == "regular"]
-        vocab = Vocabulary.build(raws)
-        imps = [encode_impression(r, vocab, 10) for r in raws]
-        _, regular, randomized = split_dataset(imps, test_day=2)
-        assert randomized == [] and regular
-
     def test_group_requests_sorted_and_sequenced(self):
         raws = self._dataset()
         vocab = Vocabulary.build(raws)
@@ -280,6 +297,7 @@ class TestSplitAndGrouping:
             ],
             vocab,
         )
+        assert history["u1"][:, 0].tolist() == [5, 10**7]  # ts ascending
         requests = group_requests(raws, vocab, history, max_position=4, max_len=8)
         assert len(requests) == 12
         first = requests[0]

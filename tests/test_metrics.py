@@ -2,9 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posrank.errors import UndefinedMetricError, UsageError
 from posrank.metrics import auc, auc_oracle, pauc
+
+
+def _loop_midrank_auc(scores, labels) -> float:
+    """Rank-sum AUC with tie groups found one by one: the reference for `auc`."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    ranks = np.empty(s.size, dtype=np.float64)
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int((y == 1).sum())
+    n_neg = y.size - n_pos
+    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 class TestAuc:
@@ -37,6 +58,19 @@ class TestAuc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             assert abs(auc(scores, labels) - auc_oracle(scores, labels)) < 1e-12
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        grid=st.integers(1, 9),
+        cells=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 1)), min_size=2, max_size=80),
+    )
+    def test_tie_groups_on_coarse_grids(self, grid, cells):
+        scores = np.array([min(c, grid) / grid for c, _ in cells])
+        labels = np.array([y for _, y in cells])
+        labels[:2] = [0, 1]
+        got = auc(scores, labels)
+        assert got == _loop_midrank_auc(scores, labels)
+        assert abs(got - auc_oracle(scores, labels)) < 1e-12
 
     def test_all_scores_equal_gives_half(self):
         labels = np.array([1, 0, 1, 0, 0])

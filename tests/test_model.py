@@ -5,7 +5,7 @@ import pytest
 
 import posrank.autodiff as ad
 from posrank.autodiff import Tensor
-from posrank.data import VOCAB_FIELDS
+from posrank.data import VOCAB_FIELDS, build_position_behavior_sequences
 from posrank.errors import FormatError, UsageError
 from posrank.model import (
     VARIANTS,
@@ -130,28 +130,18 @@ class TestBaseModule:
 class TestBehaviorEmbedding:
     def test_dimension_at_embed_dim_8(self):
         params = build_model(desk_config(), "DPIN", seed=0)
-        out = behavior_embedding(
-            params,
-            np.zeros((3, 2), dtype=np.int64),
-            np.zeros((3, 4), dtype=np.int64),
-            np.zeros(3, dtype=np.int64),
-        )
-        assert out.shape == (3, 56)
+        assert behavior_embedding(params, np.zeros((3, 7), dtype=np.int64)).shape == (3, 56)
+        # any leading shape: one row per click
+        assert behavior_embedding(params, np.zeros((2, 4, 7), dtype=np.int64)).shape == (8, 56)
 
     def test_identical_records_identical_vectors(self):
         params = build_model(tiny_config(), "DPIN", seed=0)
-        ids = (np.array([[3, 4], [3, 4]]), np.array([[1, 2, 3, 4], [1, 2, 3, 4]]), np.array([5, 5]))
-        out = behavior_embedding(params, *ids)
+        out = behavior_embedding(params, np.array([[3, 4, 1, 2, 3, 4, 5], [3, 4, 1, 2, 3, 4, 5]]))
         assert out.data[0].tobytes() == out.data[1].tobytes()
 
     def test_padding_record_is_id_zero_concat(self):
         params = build_model(tiny_config(), "DPIN", seed=0)
-        out = behavior_embedding(
-            params,
-            np.zeros((1, 2), dtype=np.int64),
-            np.zeros((1, 4), dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-        )
+        out = behavior_embedding(params, np.zeros((1, 7), dtype=np.int64))
         d = params.config.embed_dim
         expected = np.concatenate(
             [params.tensors[f"embed.{f}"].data[0] for f in ("item_id", "category", "query", "geo", "hour", "dow")]
@@ -292,6 +282,61 @@ class TestCombination:
             rng.integers(1, cfg.max_position + 1, size=64),
         )
         assert np.all(out.data > 0) and np.all(out.data < 1)
+
+
+class TestPrepareBatch:
+    def test_longer_and_wider_histories_are_cut_to_the_model(self):
+        cfg = tiny_config()
+        k, seq_len = cfg.max_position, cfg.max_len
+        wider = k + 2
+        # six clicks at each of positions 1..K+2, item id = click index (ts order)
+        history = np.array(
+            [(100 + i, i % wider + 1, i, 1, 1, 1, 1, 1) for i in range(6 * wider)], dtype=np.int64
+        )
+        req = synthetic_request(cfg, 2, seed=0)
+        req.sequences = build_position_behavior_sequences(history, 10_000, wider, seq_len + 2)
+        prep = prepare_batch([req], cfg)
+        for pos in range(1, k + 1):
+            recent = [pos - 1 + wider * n for n in (5, 4, 3, 2)]  # the last four clicks at pos
+            assert prep.seq_ids[0, pos - 1, :, 0].tolist() == recent[:seq_len]
+        assert prep.flat_ids[0, :, 0].tolist() == [6 * wider - 1 - n for n in range(seq_len)]
+        assert prep.seq_mask.all() and prep.flat_mask.all()
+        exact = build_position_behavior_sequences(history, 10_000, k, seq_len)
+        np.testing.assert_array_equal(prep.seq_ids[0].reshape(-1, 7), exact.records)
+
+    def test_masks_follow_the_sequence_lengths(self):
+        cfg = tiny_config()
+        history = np.array([(100, 2, 5, 1, 1, 1, 1, 1), (200, 2, 6, 1, 1, 1, 1, 1)], dtype=np.int64)
+        req = synthetic_request(cfg, 2, seed=0)
+        req.sequences = build_position_behavior_sequences(history, 10_000, cfg.max_position, cfg.max_len)
+        prep = prepare_batch([req, synthetic_request(cfg, 2, seed=1)], cfg)
+        assert prep.seq_mask[0].sum(axis=1).tolist() == [0, 2, 0]
+        assert prep.seq_ids[0, 1, :2, 0].tolist() == [6, 5] and not prep.seq_ids[0, 1, 2:].any()
+        assert prep.flat_mask[0].tolist() == [1, 1, 0, 0]
+        assert prep.seq_mask[1].all() and prep.flat_mask[1].all()
+
+    def test_label_count_must_match_the_candidates(self):
+        cfg = tiny_config()
+        for cut in ("positions", "clicks"):
+            req = labeled_request(cfg, seed=17)
+            setattr(req, cut, getattr(req, cut)[:-1])
+            with pytest.raises(UsageError, match="candidates"):
+                prepare_batch([labeled_request(cfg, seed=18), req], cfg)
+
+    def test_logged_positions_outside_the_slots_rejected(self):
+        cfg = tiny_config()
+        for bad in (0, cfg.max_position + 1):
+            req = labeled_request(cfg, seed=17)
+            req.positions[-1] = bad
+            with pytest.raises(UsageError, match="positions"):
+                prepare_batch([req], cfg)
+
+    def test_labelled_and_unlabelled_requests_do_not_mix(self):
+        cfg = tiny_config()
+        unlabelled = synthetic_request(cfg, cfg.max_position, seed=3)
+        with pytest.raises(UsageError, match="mixes"):
+            prepare_batch([labeled_request(cfg, seed=17), unlabelled], cfg)
+        assert prepare_batch([unlabelled], cfg).positions is None
 
 
 def _randomize_position_tables(params):

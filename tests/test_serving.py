@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from posrank.data import HISTORY_COLUMNS, TIME_BUCKETS
 from posrank.errors import UsageError
 from posrank.model import build_model, predict_matrix
 from posrank.serving import (
@@ -128,6 +129,30 @@ class TestAllocateRequest:
         lines = alloc.to_tsv(matrix, bids).strip().splitlines()
         assert lines[0] == "position\tcandidate\tctr\tbid\tecpm"
         assert len(lines) == 2 + cfg.max_position
+
+
+class TestSyntheticRequest:
+    def test_history_block_repeats_the_scalar_draw_stream(self):
+        # reference: one scalar draw per id, record by record, position by position;
+        # equal ids give benchmark requests, and so their matrices, the same bytes
+        cfg = tiny_config()
+        rng = np.random.default_rng(21)
+        highs = [cfg.vocab_sizes[f] for f in HISTORY_COLUMNS[:-1]] + [TIME_BUCKETS]
+        per_position = [
+            [[int(rng.integers(0, h)) for h in highs] for _ in range(cfg.max_len)] for _ in range(cfg.max_position)
+        ]
+        item_draws = [
+            ((int(rng.integers(0, cfg.vocab_sizes["item_id"])), int(rng.integers(0, cfg.vocab_sizes["category"]))),
+             float(np.exp(rng.normal(0.0, 0.3))))
+            for _ in range(4)
+        ]
+        req = synthetic_request(cfg, 4, seed=21)
+        for k in range(1, cfg.max_position + 1):
+            assert req.sequences.at(k).tolist() == per_position[k - 1]
+        # flat: most recent first regardless of position, round-robin over the positions
+        flat = [rec for recent in zip(*per_position) for rec in recent][: cfg.max_len]
+        assert req.sequences.flat.tolist() == flat
+        assert [(c.item_ids, c.bid) for c in req.candidates] == item_draws
 
 
 class TestBenchmark:
