@@ -48,7 +48,7 @@ from .serving import (
     exhaustive_allocate,
     greedy_allocate,
 )
-from .train import TrainConfig, TrainHistory, cross_entropy_loss, evaluate, train
+from .train import TrainConfig, TrainHistory, evaluate, train
 from .world import (
     SEPARABLE,
     USER_DEPENDENT,

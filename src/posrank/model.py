@@ -20,6 +20,13 @@ position weight, PAL seen factor, or the combination MLP), whether the
 transformer runs, and whether evaluation and serving score every
 impression at slot 1.
 Training, evaluation and serving all score through `score_displayed`.
+
+Every history stage pools through one attention op, `interest_aggregation`,
+which scores each sequence against all of its queries at once: DIN pools a
+request's flat history against its J item queries, DPIN each position
+sequence against the request context, and `DPIN+ItemAction` each position
+sequence against J (context, item) queries - J queries per sequence, not J
+copies of the history.
 """
 
 from __future__ import annotations
@@ -103,7 +110,7 @@ class ModelConfig:
     max_position: int = 10
 
     def validate(self) -> None:
-        if self.d_model % self.heads != 0:
+        if self.heads < 1 or self.d_model % self.heads != 0:
             raise UsageError(f"d_model={self.d_model} must be divisible by heads={self.heads}")
         if any(h < 1 for h in self.mlp_hidden) or self.combination_hidden < 1:
             raise UsageError("hidden sizes must be positive")
@@ -304,17 +311,19 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
 
     b = len(requests)
     n_cols = len(HISTORY_COLUMNS)
+    steps = np.arange(seq_len)
+    seq_lengths = np.minimum([r.sequences.lengths[:k_max] for r in requests], seq_len)
+    seq_kept = steps < seq_lengths[..., None]  # [B, K, L]: the most recent L of each sequence
     seq_ids = np.zeros((b, k_max, seq_len, n_cols), dtype=np.int64)
     flat_ids = np.zeros((b, seq_len, n_cols), dtype=np.int64)
     for bi, req in enumerate(requests):
-        for k in range(k_max):
-            rows = req.sequences.at(k + 1)[:seq_len]  # most recent first
-            seq_ids[bi, k, : len(rows)] = rows
+        lengths = req.sequences.lengths[:k_max]
+        # position k's rows follow those of positions 1..k-1 in `records`
+        starts = np.cumsum(lengths) - lengths
+        seq_ids[bi][seq_kept[bi]] = req.sequences.records[(starts[:, None] + steps)[seq_kept[bi]]]
         rows = req.sequences.flat[:seq_len]
         flat_ids[bi, : len(rows)] = rows
-    seq_lengths = np.minimum([r.sequences.lengths[:k_max] for r in requests], seq_len)
     flat_lengths = np.minimum([len(r.sequences.flat) for r in requests], seq_len)
-    steps = np.arange(seq_len)
 
     labelled = [bool(r.positions or r.clicks) for r in requests]
     positions = clicks = None
@@ -342,7 +351,7 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
         ),
         bids=np.array([c.bid for r in requests for c in r.candidates], dtype=np.float64),
         seq_ids=seq_ids,
-        seq_mask=(steps < seq_lengths[..., None]).astype(np.float64),
+        seq_mask=seq_kept.astype(np.float64),
         flat_ids=flat_ids,
         flat_mask=(steps < flat_lengths[:, None]).astype(np.float64),
         positions=positions,
@@ -403,24 +412,29 @@ def interest_aggregation(
     query: Tensor,
     weight_prefix: str = "pos_att",
 ) -> Tensor:
-    """Attention-pool a behavior sequence against a query vector.
+    """Attention-pool each behavior sequence against each of its queries.
 
-    seq_embeddings [N, L, D], mask [N, L] (1 = real record), query [N, Q].
-    Padding slots get zero weight; an all-padding sequence pools to zeros.
+    seq_embeddings [N, L, D], mask [N, L] (1 = real record), query [N*M, Q]
+    with rows n*M .. n*M+M-1 querying sequence n -> [N*M, D]. A record's
+    attention hidden layer is ReLU([record, query] wa + ba): records and
+    queries are projected once each, through their row blocks of wa, and
+    meet by broadcasting, so no sequence is copied per query. Padding slots
+    get zero weight; an all-padding sequence pools to zeros.
     """
     n, seq_len, dim = seq_embeddings.shape
-    rows = ad.reshape(seq_embeddings, (n * seq_len, dim))
-    att_in = ad.concat([rows, ad.repeat_rows(query, seq_len)], axis=1)
-    hidden = ad.relu(
-        ad.matmul(att_in, params.tensors[f"{weight_prefix}.wa"]) + params.tensors[f"{weight_prefix}.ba"]
-    )
-    logits = ad.matmul(hidden, params.tensors[f"{weight_prefix}.wb"]) + params.tensors[f"{weight_prefix}.bb"]
+    if query.ndim != 2 or query.shape[0] % n:
+        raise UsageError(f"interest_aggregation: {query.shape} queries do not split over {n} sequences")
+    m = query.shape[0] // n
+    wa, ba, wb, bb = (params.tensors[f"{weight_prefix}.{w}"] for w in ("wa", "ba", "wb", "bb"))
+    record_part = ad.matmul(ad.reshape(seq_embeddings, (n * seq_len, dim)), ad.gather_rows(wa, np.arange(dim)))
+    query_part = ad.matmul(query, ad.gather_rows(wa, np.arange(dim, wa.shape[0])))
+    hidden = ad.relu(ad.reshape(record_part, (n, 1, seq_len, -1)) + ad.reshape(query_part, (n, m, 1, -1)) + ba)
+    logits = ad.matmul(ad.reshape(hidden, (n * m * seq_len, -1)), wb) + bb
     # padding slots get an additive -1e9 so their softmax weight underflows to 0
-    logits = ad.reshape(logits, (n, seq_len)) + Tensor((1.0 - mask) * _MASK_OFF)
-    weights = ad.softmax(logits)
-    pooled = ad.reshape(ad.bmm(ad.reshape(weights, (n, 1, seq_len)), seq_embeddings), (n, dim))
-    has_any = (mask.sum(axis=1) > 0).astype(np.float64)[:, None]
-    return pooled * Tensor(has_any)
+    logits = ad.reshape(logits, (n, m, seq_len)) + Tensor((1.0 - mask)[:, None, :] * _MASK_OFF)
+    has_any = (mask.sum(axis=1) > 0).astype(np.float64)[:, None, None]
+    pooled = ad.bmm(ad.softmax(logits), seq_embeddings) * Tensor(has_any)
+    return ad.reshape(pooled, (n * m, dim))
 
 
 def position_interaction(
@@ -490,17 +504,13 @@ def combination_forward(
 def _din_item_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     """Base output concatenated with item-queried pooling of the flat history."""
     cfg = params.config
-    b, j, seq_len = prep.size, prep.num_items, cfg.max_len
+    b, j = prep.size, prep.num_items
     base = base_module_forward(
         params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1)
     )
     item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
-    # embed the request's history once; every candidate reads a copy of it
-    seq_emb = behavior_embedding(params, prep.flat_ids)
-    seq_rows = ad.repeat_rows(ad.reshape(seq_emb, (b, seq_len * cfg.behavior_dim)), j)
-    seq3 = ad.reshape(seq_rows, (b * j, seq_len, cfg.behavior_dim))
-    mask = np.repeat(prep.flat_mask, j, axis=0)
-    agg = interest_aggregation(params, seq3, mask, item_vec, weight_prefix="flat_att")
+    seq_emb = ad.reshape(behavior_embedding(params, prep.flat_ids), (b, cfg.max_len, cfg.behavior_dim))
+    agg = interest_aggregation(params, seq_emb, prep.flat_mask, item_vec, weight_prefix="flat_att")
     return ad.concat([base, agg], axis=1)
 
 
@@ -508,40 +518,33 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     """Per-position representations.
 
     Returns [B*K, d_model], or [B*J*K, d_model] ordered (request, item,
-    position) when the variant reruns the interaction stage per candidate.
+    position) when the variant reruns the interaction stage per candidate:
+    each of the B*K position sequences is then pooled against J queries,
+    one per candidate, instead of once against its request's context.
     """
     cfg = params.config
     spec = variant_spec(params.variant)
     b, j, k, seq_len = prep.size, prep.num_items, cfg.max_position, cfg.max_len
-    ctx_vec = _embed_concat(params, CONTEXT_FIELDS, prep.context_ids)
-    seq_emb = behavior_embedding(params, prep.seq_ids)
-
+    m = j if spec.history == PER_CANDIDATE else 1  # queries per position sequence
+    # rows run in (request, position, query) order
+    ctx_groups = ad.repeat_rows(_embed_concat(params, CONTEXT_FIELDS, prep.context_ids), k * m)
+    query, item_groups = ctx_groups, None
     if spec.history == PER_CANDIDATE:
-        groups = b * j * k
-        # the history is embedded once per request and copied to each candidate
-        seq_emb = ad.repeat_rows(ad.reshape(seq_emb, (b, k * seq_len * cfg.behavior_dim)), j)
-        mask = np.repeat(prep.seq_mask, j, axis=0).reshape(groups, seq_len)
-        ctx_groups = ad.repeat_rows(ad.repeat_rows(ctx_vec, j), k)
+        request, _, candidate = np.unravel_index(np.arange(b * k * m), (b, k, m))
         item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
-        item_groups = ad.repeat_rows(item_vec, k)
-        batch_rows = b * j
-    else:
-        groups = b * k
-        mask = prep.seq_mask.reshape(groups, seq_len)
-        ctx_groups = ad.repeat_rows(ctx_vec, k)
-        item_groups = None
-        batch_rows = b
+        item_groups = ad.gather_rows(item_vec, request * j + candidate)
+        query = ad.concat([ctx_groups, item_groups], axis=1)
 
-    seq3 = ad.reshape(seq_emb, (groups, seq_len, cfg.behavior_dim))
-    query = ctx_groups if item_groups is None else ad.concat([ctx_groups, item_groups], axis=1)
-    pooled = interest_aggregation(params, seq3, mask, query, weight_prefix="pos_att")
-
-    pos_ids = np.tile(np.arange(1, k + 1), batch_rows)
+    seq_emb = ad.reshape(behavior_embedding(params, prep.seq_ids), (b * k, seq_len, cfg.behavior_dim))
+    pooled = interest_aggregation(params, seq_emb, prep.seq_mask.reshape(b * k, seq_len), query)
+    pos_ids = np.repeat(np.tile(np.arange(1, k + 1), b), m)
     v = position_interaction(params, pos_ids, ctx_groups, pooled, item_query=item_groups)
+    # (request, query, position) order: each query's K positions side by side
+    v = ad.gather_rows(v, np.arange(b * k * m).reshape(b, k, m).transpose(0, 2, 1).reshape(-1))
     if not spec.transformer:
         return v
-    encoded = transformer_encode(params, ad.reshape(v, (batch_rows, k, cfg.d_model)))
-    return ad.reshape(encoded, (groups, cfg.d_model))
+    encoded = transformer_encode(params, ad.reshape(v, (b * m, k, cfg.d_model)))
+    return ad.reshape(encoded, (b * m * k, cfg.d_model))
 
 
 def _position_table_column(params: ParameterSet, name: str, position_ids: np.ndarray) -> Tensor:
@@ -642,6 +645,7 @@ def _config_from_text(text: str) -> tuple[ModelConfig, str]:
         key, _, value = line.partition("=")
         kv[key] = value
     try:
+        variant = kv["variant"]
         config = ModelConfig(
             vocab_sizes={f: int(kv[f"vocab.{f}"]) for f in VOCAB_FIELDS},
             embed_dim=int(kv["embed_dim"]),
@@ -653,9 +657,16 @@ def _config_from_text(text: str) -> tuple[ModelConfig, str]:
             max_len=int(kv["max_len"]),
             max_position=int(kv["max_position"]),
         )
-        return config, kv["variant"]
     except KeyError as exc:
         raise FormatError(f"checkpoint config is missing key {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"checkpoint config has a malformed value: {exc}") from exc
+    try:
+        variant_spec(variant)
+        config.validate()
+    except UsageError as exc:
+        raise FormatError(f"checkpoint config is invalid: {exc}") from exc
+    return config, variant
 
 
 def save_checkpoint(path, params: ParameterSet) -> None:
@@ -688,28 +699,35 @@ def load_checkpoint(path) -> ParameterSet:
             raise FormatError(f"checkpoint truncated while reading {what}")
         return chunk
 
+    def text(n: int, what: str) -> str:
+        try:
+            return take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint {what} is not UTF-8 text") from exc
+
     if take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint (bad magic bytes)")
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    config, variant = _config_from_text(take(cfg_len, "config").decode("utf-8"))
+    config, variant = _config_from_text(text(cfg_len, "config"))
 
+    expected = {name: shape for name, _, shape in _param_specs(config, variant)}
     tensors: dict[str, Tensor] = {}
     while view.tell() < len(raw):
         (name_len,) = struct.unpack("<I", take(4, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
+        name = text(name_len, "tensor name")
+        if name not in expected:
+            raise FormatError(f"checkpoint tensor {name!r} does not belong to variant {variant!r}")
         (rank,) = struct.unpack("<I", take(4, "tensor rank"))
         shape = tuple(struct.unpack("<Q", take(8, "tensor dim"))[0] for _ in range(rank))
+        if shape != expected[name]:
+            raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {expected[name]}")
         count = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(take(8 * count, f"values of {name}"), dtype="<f8").reshape(shape)
         tensors[name] = Tensor(data.copy(), requires_grad=True, name=name)
 
-    expected = {name: shape for name, _, shape in _param_specs(config, variant)}
     if set(expected) != set(tensors):
         raise FormatError("checkpoint tensors do not match the declared variant")
-    for name, shape in expected.items():
-        if tensors[name].data.shape != shape:
-            raise FormatError(f"checkpoint tensor {name!r} has shape {tensors[name].data.shape}, expected {shape}")
     return ParameterSet(config=config, variant=variant, tensors=tensors)

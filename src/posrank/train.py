@@ -31,22 +31,12 @@ from .model import (
 __all__ = [
     "TrainConfig",
     "TrainHistory",
-    "cross_entropy_loss",
     "train",
     "evaluate",
     "score_requests",
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-
-def cross_entropy_loss(p, y) -> float:
-    """Mean of -(y ln p + (1-y) ln(1-p)); p clamped to [1e-12, 1-1e-12]."""
-    p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
-    y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise UsageError(f"cross_entropy_loss: shapes {p.shape} vs {y.shape}")
-    return float(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean())
 
 
 @dataclass

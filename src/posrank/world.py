@@ -15,7 +15,6 @@ evaluation.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -241,22 +240,10 @@ def _simulate_chunk(args) -> tuple[list[RawImpression], list[RawBehavior]]:
     return imps, behs
 
 
-def default_workers() -> int:
-    """Worker count for traffic generation, capped by POSRANK_THREADS."""
-    cap = os.environ.get("POSRANK_THREADS")
-    if cap is None:
-        return 1
-    try:
-        cap_n = int(cap)
-    except ValueError as exc:
-        raise UsageError(f"POSRANK_THREADS must be an integer, got {cap!r}") from exc
-    return max(1, min(cap_n, os.cpu_count() or 1))
-
-
 def simulate_traffic(
     world: SyntheticWorld,
     policy: str = ORACLE_POLICY,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[list[RawImpression], list[RawBehavior]]:
     """Run the full request timeline; returns (impression log, click history).
 
@@ -266,8 +253,6 @@ def simulate_traffic(
     """
     cfg = world.config
     total = cfg.days * cfg.requests_per_day
-    if workers is None:
-        workers = default_workers()
     if workers <= 1 or total < 256:
         return _simulate_chunk((world, range(total), policy))
 

@@ -1,5 +1,7 @@
 """Model zoo contracts: shapes, variant semantics, bit-level reproducibility."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,47 @@ class TestInterestAggregation:
         mask = np.zeros((2, cfg.max_len))
         out = interest_aggregation(params, emb, mask, query)
         np.testing.assert_array_equal(out.data, np.zeros((2, cfg.behavior_dim)))
+
+    def _many_queries(self, n=3, m=4):
+        cfg = tiny_config()
+        params = build_model(cfg, "DPIN+ItemAction", seed=2)
+        rng = np.random.default_rng(4)
+        params.tensors["pos_att.ba"].data[:] = rng.normal(size=cfg.d_model)
+        emb = Tensor(rng.normal(size=(n, cfg.max_len, cfg.behavior_dim)))
+        query = Tensor(rng.normal(size=(n * m, cfg.context_dim + cfg.item_dim)))
+        mask = np.zeros((n, cfg.max_len))
+        for i in range(n - 1):  # the last sequence is all padding
+            mask[i, : i + 2] = 1.0
+        return params, emb, mask, query
+
+    def test_many_queries_equal_single_query_calls_bitwise(self):
+        params, emb, mask, query = self._many_queries()
+        m = query.shape[0] // emb.shape[0]
+        out = interest_aggregation(params, emb, mask, query)
+        for q in range(m):
+            single = interest_aggregation(params, emb, mask, Tensor(query.data[q::m]))
+            assert out.data[q::m].tobytes() == single.data.tobytes()
+
+    def test_matches_the_concatenated_definition(self):
+        params, emb, mask, query = self._many_queries()
+        m = query.shape[0] // emb.shape[0]
+        wa, ba, wb, bb = (params.tensors[f"pos_att.{w}"].data for w in ("wa", "ba", "wb", "bb"))
+        expected = np.zeros((query.shape[0], emb.shape[2]))
+        for r, q in enumerate(query.data):
+            seq, real = emb.data[r // m], mask[r // m] > 0
+            if not real.any():
+                continue
+            att_in = np.concatenate([seq, np.tile(q, (len(seq), 1))], axis=1)
+            logits = (np.maximum(att_in @ wa + ba, 0.0) @ wb + bb)[:, 0]
+            weights = np.where(real, np.exp(logits - logits[real].max()), 0.0)
+            expected[r] = weights / weights.sum() @ seq
+        out = interest_aggregation(params, emb, mask, query)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
+
+    def test_query_rows_must_split_over_sequences(self):
+        params, emb, mask, query = self._many_queries()
+        with pytest.raises(UsageError, match="queries"):
+            interest_aggregation(params, emb, mask, Tensor(query.data[:-1]))
 
 
 class TestPositionInteraction:
@@ -387,9 +430,10 @@ class TestPredictMatrix:
         p_seen = ad.sigmoid(Tensor(seen[1:, 0])).data
         assert predict_matrix(params, req).tobytes() == np.outer(p_click, p_seen).tobytes()
 
-    def test_dpin_rows_survive_candidate_removal_bitwise(self):
+    @pytest.mark.parametrize("variant", ["DPIN", "DIN", "DPIN+ItemAction"])
+    def test_dpin_rows_survive_candidate_removal_bitwise(self, variant):
         cfg = tiny_config()
-        params = build_model(cfg, "DPIN", seed=9)
+        params = build_model(cfg, variant, seed=9)
         req = synthetic_request(cfg, 5, seed=15)
         full = predict_matrix(params, req)
         smaller = synthetic_request(cfg, 5, seed=15)
@@ -498,6 +542,37 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 17])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "config_edit",
+        [
+            lambda text: text.replace(b"embed_dim=4", b"embed_dim=x"),
+            lambda text: text.replace(b"variant=DPIN", b"variant=\xff\xfe"),
+            lambda text: text.replace(b"variant=DPIN", b"variant=DeepFM"),
+            lambda text: text.replace(b"heads=2", b"heads=0"),
+        ],
+        ids=["non-integer", "non-utf8", "unknown-variant", "zero-heads"],
+    )
+    def test_corrupt_config_is_a_format_error(self, tmp_path, config_edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(tiny_config(), "DPIN", seed=23))
+        blob = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        text = config_edit(blob[12 : 12 + cfg_len])
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len :])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_corrupt_tensor_header_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(tiny_config(), "DPIN", seed=23))
+        blob = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        (name_len,) = struct.unpack_from("<I", blob, 12 + cfg_len)
+        struct.pack_into("<I", blob, 16 + cfg_len + name_len, 200)  # the first tensor's rank
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="shape"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
