@@ -14,6 +14,15 @@ the same summation order, whatever the batch around it.
 Gradients are built lazily: each op records its parents and a vector-
 Jacobian closure; ``backward`` walks the tape in reverse topological
 order. Wrap inference code in ``no_grad()`` to skip tape construction.
+
+Accumulation contract: ``backward`` adds a tensor's incoming gradients in
+tape order, each sum starting from the first contribution, so every
+gradient is the same sum in the same order as zero-filling first and adding
+in place. The first contribution is stored as it arrives, not copied: an
+op's VJP may hand one array to several parents (``add`` passes its output
+gradient to both operands) or return a view of its input. A leaf's ``grad``
+may therefore share memory with another tensor's ``grad``; copy it before
+mutating it.
 """
 
 from __future__ import annotations
@@ -268,11 +277,15 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
         raise UsageError("concat of an empty sequence")
     parts = tuple(_coerce(p) for p in parts)
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
+        lead = (slice(None),) * (axis % g.ndim)
+        views, start = [], 0
+        for p in parts:
+            stop = start + p.data.shape[axis]
+            views.append(g[lead + (slice(start, stop),)])
+            start = stop
+        return tuple(views)
 
     return _make(data, parts, vjp)
 
@@ -321,6 +334,19 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
+def _scatter_add_rows(rows: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum the rows of `g` ([rows.size, dim] in C order) into [n_rows, dim] at `rows`.
+
+    One ``np.bincount`` over cell indices ``row * dim + col``: it adds its
+    weights in input order into a zeroed buffer, as an unbuffered ufunc
+    scatter-add into a zero matrix does, so every cell is the same sum.
+    """
+    dim = g.shape[-1]
+    cells = (rows.reshape(-1, 1).astype(np.intp, copy=False) * dim + np.arange(dim)).reshape(-1)
+    out = np.bincount(cells, weights=g.reshape(-1), minlength=n_rows * dim)
+    return out.reshape(n_rows, dim)
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows of a matrix by integer index (rows may repeat)."""
     a = _coerce(a)
@@ -334,9 +360,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        return (_scatter_add_rows(idx, g, a.shape[0]),)
 
     return _make(data, (a,), vjp)
 
@@ -356,9 +380,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.ravel(), g.reshape(-1, table.shape[1]))
-        return (gt,)
+        return (_scatter_add_rows(ids, g, table.shape[0]),)
 
     return _make(data, (table,), vjp)
 
@@ -467,9 +489,8 @@ def backward(loss: Tensor) -> None:
         for parent, g in zip(node._parents, grads):
             if not parent.requires_grad or g is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+            # never `+=`: the stored array may be shared (see the module docstring)
+            parent.grad = g if parent.grad is None else parent.grad + g
 
 
 # -- optimizers -------------------------------------------------------------
@@ -479,7 +500,15 @@ ADAM = "adam"
 
 
 class Optimizer:
-    """Plain SGD or bias-corrected adaptive-moment updates over named tensors."""
+    """Plain SGD or bias-corrected adaptive-moment updates over named tensors.
+
+    One step works on a single flat vector: the gradients are concatenated
+    once, and the moments live in flat arrays laid out in the same order.
+    The layout covers the names that have a gradient and is rebuilt only
+    when that set changes; a name without a gradient is skipped and keeps
+    its moments for a later step. The arithmetic runs in place in two
+    reused scratch buffers, so a step allocates no array of the model's size.
+    """
 
     def __init__(
         self,
@@ -497,34 +526,70 @@ class Optimizer:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._names: tuple[str, ...] = ()
+        self._slices: list[slice] = []
+        self._m = self._v = np.zeros(0)
+        # moments of names outside the current layout, as views of old arrays
+        self._parked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._g = self._upd = self._tmp = np.zeros(0)
+
+    def _relayout(self, params: Mapping[str, Tensor], names: tuple[str, ...]) -> None:
+        for name, sl in zip(self._names, self._slices):
+            self._parked[name] = (self._m[sl], self._v[sl])
+        self._slices, start = [], 0
+        for name in names:
+            stop = start + params[name].data.size
+            self._slices.append(slice(start, stop))
+            start = stop
+        # np.zeros maps untouched pages lazily, so SGD never pays for moments
+        self._m, self._v = np.zeros(start), np.zeros(start)
+        for name, sl in zip(names, self._slices):
+            if name in self._parked:
+                self._m[sl], self._v[sl] = self._parked.pop(name)
+        self._g, self._upd, self._tmp = np.empty(start), np.empty(start), np.empty(start)
+        self._names = names
 
     def step(self, params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray]) -> None:
         """Apply one update. Validates all gradients before touching any parameter."""
-        for name in params:
-            g = grads.get(name)
-            if g is None:
-                continue
-            if g.shape != params[name].shape:
+        for name in grads:
+            if name not in params:
+                raise UsageError(f"gradient for unknown parameter {name!r}")
+        names = tuple(name for name in params if grads.get(name) is not None)
+        for name in names:
+            if grads[name].shape != params[name].shape:
                 raise UsageError(f"gradient shape mismatch for {name!r}")
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
+        if names != self._names:
+            self._relayout(params, names)
+        g = self._g
+        if names:
+            np.concatenate([grads[name].reshape(-1) for name in names], out=g)
+        if not np.isfinite(g).all():
+            bad = next(n for n, sl in zip(names, self._slices) if not np.isfinite(g[sl]).all())
+            raise NumericError(f"non-finite gradient for parameter {bad!r}")
         self.step_count += 1
-        for name, p in params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if self.kind == SGD:
-                p.data -= self.lr * g
-                continue
-            m = self._m.setdefault(name, np.zeros_like(p.data))
-            v = self._v.setdefault(name, np.zeros_like(p.data))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            mhat = m / (1.0 - self.beta1**self.step_count)
-            vhat = v / (1.0 - self.beta2**self.step_count)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        # the same operations in the same order as the textbook per-tensor
+        # update, so every parameter gets the same bits
+        upd, tmp = self._upd, self._tmp
+        if self.kind == SGD:
+            np.multiply(g, self.lr, out=upd)
+        else:
+            m, v = self._m, self._v
+            np.subtract(g, m, out=upd)
+            upd *= 1.0 - self.beta1
+            m += upd
+            np.multiply(g, g, out=upd)
+            upd -= v
+            upd *= 1.0 - self.beta2
+            v += upd
+            np.divide(m, 1.0 - self.beta1**self.step_count, out=upd)
+            upd *= self.lr
+            np.divide(v, 1.0 - self.beta2**self.step_count, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            upd /= tmp
+        for name, sl in zip(names, self._slices):
+            p = params[name].data
+            p -= upd[sl].reshape(p.shape)
 
 
 # -- finite-difference gradient checking ------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import io
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -92,7 +93,7 @@ def variant_spec(variant: str) -> VariantSpec:
 
 
 CHECKPOINT_MAGIC = b"DPIN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: a CRC-32 of everything after magic and version closes the file
 
 
 @dataclass(frozen=True)
@@ -670,7 +671,11 @@ def _config_from_text(text: str) -> tuple[ModelConfig, str]:
 
 
 def save_checkpoint(path, params: ParameterSet) -> None:
-    """Binary, bit-exact serialization of config, variant and all tensors."""
+    """Binary, bit-exact serialization of config, variant and all tensors.
+
+    The file ends with a CRC-32 of everything after magic and version, which
+    `load_checkpoint` checks before it parses anything else.
+    """
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -686,12 +691,14 @@ def save_checkpoint(path, params: ParameterSet) -> None:
         for dim in t.data.shape:
             buf.write(struct.pack("<Q", dim))
         buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue()[8:])))
     Path(path).write_bytes(buf.getvalue())
 
 
 def load_checkpoint(path) -> ParameterSet:
     raw = Path(path).read_bytes()
-    view = io.BytesIO(raw)
+    body = raw[:-4]  # the last 4 bytes are a CRC-32 of the body after magic and version
+    view = io.BytesIO(body)
 
     def take(n: int, what: str) -> bytes:
         chunk = view.read(n)
@@ -710,12 +717,14 @@ def load_checkpoint(path) -> ParameterSet:
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
+    if zlib.crc32(body[8:]) != struct.unpack("<I", raw[-4:])[0]:
+        raise FormatError("checkpoint checksum mismatch: the file is corrupt or truncated")
     (cfg_len,) = struct.unpack("<I", take(4, "config length"))
     config, variant = _config_from_text(text(cfg_len, "config"))
 
     expected = {name: shape for name, _, shape in _param_specs(config, variant)}
     tensors: dict[str, Tensor] = {}
-    while view.tell() < len(raw):
+    while view.tell() < len(body):
         (name_len,) = struct.unpack("<I", take(4, "tensor name length"))
         name = text(name_len, "tensor name")
         if name not in expected:

@@ -56,18 +56,31 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
+    """Per-epoch telemetry of one `train` call.
+
+    `grad_norms` holds, per epoch, the L2 norm of the gradient of each
+    parameter group (a tensor name up to its first `.`) on the epoch's last
+    batch. `best_epoch` is the epoch with the best validation PAUC, whose
+    parameters `train` returns; None when no validation pass scored.
+    """
+
     epochs: list[int] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
     val_auc: list[float] = field(default_factory=list)
     val_pauc: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
+    grad_norms: list[dict[str, float]] = field(default_factory=list)
+    best_epoch: int | None = None
 
-    def append(self, epoch: int, loss: float, auc: float, pauc_: float, secs: float) -> None:
+    def append(
+        self, epoch: int, loss: float, auc: float, pauc_: float, secs: float, grad_norms: dict[str, float]
+    ) -> None:
         self.epochs.append(epoch)
         self.train_loss.append(loss)
         self.val_auc.append(auc)
         self.val_pauc.append(pauc_)
         self.seconds.append(secs)
+        self.grad_norms.append(grad_norms)
 
     def to_tsv(self) -> str:
         lines = ["epoch\ttrain_loss\tval_auc\tval_pauc\tseconds"]
@@ -108,6 +121,15 @@ def evaluate(params: ParameterSet, requests: list[Request]) -> PaucReport:
     """AUC/PAUC of a request set under the variant's evaluation protocol."""
     scores, clicks, positions = score_requests(params, requests)
     return pauc(scores, clicks, positions)
+
+
+def _group_grad_norms(grads: dict[str, np.ndarray]) -> dict[str, float]:
+    """L2 norm of the gradient of each parameter group (name up to the first `.`)."""
+    squares: dict[str, float] = {}
+    for name, g in grads.items():
+        group = name.partition(".")[0]
+        squares[group] = squares.get(group, 0.0) + float(np.vdot(g, g))
+    return {group: float(np.sqrt(sq)) for group, sq in squares.items()}
 
 
 def _request_batches(n_requests: int, requests_per_batch: int, rng: np.random.Generator):
@@ -189,10 +211,13 @@ def train(
             if report.pauc > best_pauc:
                 best_pauc = report.pauc
                 best = params.copy()
+                history.best_epoch = epoch
                 stale = 0
             else:
                 stale += 1
-        history.append(epoch, float(np.mean(losses)), val_auc, val_pauc, time.perf_counter() - t0)
+        history.append(
+            epoch, float(np.mean(losses)), val_auc, val_pauc, time.perf_counter() - t0, _group_grad_norms(grads)
+        )
         if do_eval and train_config.patience > 0 and stale >= train_config.patience:
             break
 

@@ -139,6 +139,97 @@ class TestBackward:
         ad.backward(ad.total_sum(y + y))
         np.testing.assert_allclose(x.grad, [6.0])
 
+    @pytest.mark.parametrize("same", [True, False], ids=["add_x_x", "add_x_y"])
+    def test_shared_vjp_output_is_not_mutated(self, same):
+        # add's VJP hands one array to both operands; each operand and the
+        # sum are reused later, so an in-place accumulation would leak one
+        # tensor's later contributions into the other's gradient
+        rng = np.random.default_rng(12)
+        c = rng.normal(size=(3, 4))
+
+        def build():
+            x = Tensor(rng_x.copy(), requires_grad=True)
+            y = Tensor(rng_y.copy(), requires_grad=True)
+            s = ad.add(x, x if same else y)
+            loss = ad.total_sum(s * c) + ad.total_sum(s * s) + ad.total_sum(x * 3.0) + ad.total_sum(y * y * c)
+            return loss, (x, y, s)
+
+        rng_x, rng_y = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        loss, tensors = build()
+        ad.backward(loss)
+        ref_loss, ref_tensors = build()
+        _reference_backward(ref_loss)
+        for t, ref in zip(tensors, ref_tensors):
+            assert t.grad.tobytes() == ref.grad.tobytes()
+
+
+def _reference_backward(loss: Tensor) -> None:
+    """The zero-fill + in-place accumulation `backward` is defined against,
+    over the same tape order."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if parent.requires_grad and g is not None:
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += g
+
+
+_grad_values = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+class TestScatterAdd:
+    """The embedding and gather_rows VJP sums every cell in the same order,
+    so to the same bits, as a scatter-add into a zero matrix."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n_rows=st.integers(1, 6), dim=st.integers(1, 4),
+        rows=st.lists(st.integers(0, 5), max_size=24), data=st.data(),
+    )
+    def test_equals_add_at_on_zeros(self, n_rows, dim, rows, data):
+        rows = np.array([r % n_rows for r in rows], dtype=np.int64)
+        g = np.array(data.draw(st.lists(_grad_values, min_size=rows.size * dim, max_size=rows.size * dim)))
+        g = g.reshape(rows.size, dim)
+        ref = np.zeros((n_rows, dim))
+        np.add.at(ref, rows, g)
+        assert ad._scatter_add_rows(rows, g, n_rows).tobytes() == ref.tobytes()
+
+    def test_embedding_and_gather_vjps_match_add_at(self):
+        rng = np.random.default_rng(13)
+        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        ids = rng.integers(0, 5, size=(4, 6))
+        w = rng.normal(size=(4, 6, 3))
+        ad.backward(ad.total_sum(ad.embedding(table, ids) * w))
+        ref = np.zeros((5, 3))
+        np.add.at(ref, ids.ravel(), w.reshape(-1, 3))
+        assert table.grad.tobytes() == ref.tobytes()
+
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        idx = np.array([3, 0, 3, 3, 1])
+        wg = rng.normal(size=(5, 3))
+        ad.backward(ad.total_sum(ad.gather_rows(x, idx) * wg))
+        ref = np.zeros((4, 3))
+        np.add.at(ref, idx, wg)
+        assert x.grad.tobytes() == ref.tobytes()
+
 
 def _op_cases():
     rng = np.random.default_rng(7)
@@ -237,6 +328,70 @@ class TestOptimizer:
         np.testing.assert_array_equal(p["a"].data, [1.0])
         np.testing.assert_array_equal(p["b"].data, [2.0])
         assert opt.step_count == 0
+
+    def test_gradient_for_unknown_name_rejected(self):
+        p = {"w": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
+        opt = Optimizer(kind=ad.ADAM, lr=0.1)
+        with pytest.raises(UsageError, match="'v'"):
+            opt.step(p, {"w": np.array([1.0, 1.0]), "v": np.array([1.0])})
+        np.testing.assert_array_equal(p["w"].data, [1.0, 2.0])
+        assert opt.step_count == 0
+
+    def test_non_finite_gradient_names_its_tensor(self):
+        p = {n: Tensor(np.ones(3), requires_grad=True) for n in ("a", "b", "c")}
+        grads = {"a": np.ones(3), "b": np.array([0.0, np.inf, 0.0]), "c": np.ones(3)}
+        with pytest.raises(NumericError, match="'b'"):
+            Optimizer().step(p, grads)
+
+    @pytest.mark.parametrize("kind", [ad.ADAM, ad.SGD])
+    def test_flat_step_equals_per_tensor_reference(self, kind):
+        rng = np.random.default_rng(14)
+        shapes = {"s": (), "v": (5,), "m": (3, 4), "t": (2, 3, 2)}
+        init = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+        flat = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+        ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+        opt, ref_opt = Optimizer(kind=kind, lr=0.01), _ReferenceOptimizer(kind=kind, lr=0.01)
+        # steps 3 and 4 drop a name, step 5 brings it back, step 6 drops another
+        missing = {3: {"v"}, 4: {"v", "s"}, 6: {"t"}}
+        for step in range(1, 7):
+            grads = {
+                n: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+                for n, shape in shapes.items()
+                if n not in missing.get(step, ())
+            }
+            if step == 2:
+                grads["m"][0] = -0.0
+            opt.step(flat, grads)
+            ref_opt.step(ref, grads)
+            for n in shapes:
+                assert flat[n].data.tobytes() == ref[n].data.tobytes(), (step, n)
+
+
+class _ReferenceOptimizer:
+    """The per-tensor update loop the flat `Optimizer` must reproduce bit for bit."""
+
+    def __init__(self, kind, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.kind, self.lr, self.beta1, self.beta2, self.eps = kind, lr, beta1, beta2, eps
+        self.step_count = 0
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def step(self, params, grads):
+        self.step_count += 1
+        for name, p in params.items():
+            g = grads.get(name)
+            if g is None:
+                continue
+            if self.kind == ad.SGD:
+                p.data -= self.lr * g
+                continue
+            m = self._m.setdefault(name, np.zeros_like(p.data))
+            v = self._v.setdefault(name, np.zeros_like(p.data))
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            mhat = m / (1.0 - self.beta1**self.step_count)
+            vhat = v / (1.0 - self.beta2**self.step_count)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 class TestElementwiseProperties:

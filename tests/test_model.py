@@ -1,6 +1,7 @@
 """Model zoo contracts: shapes, variant semantics, bit-level reproducibility."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -511,6 +512,11 @@ class TestPredictMatrix:
             score_displayed(params, prep, np.ones(cfg.max_position + 1, dtype=np.int64))
 
 
+def _reseal(blob: bytes) -> bytes:
+    """Replace the closing CRC-32 so an edited body reaches the parser."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[8:-4]))
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("variant", ["DPIN", "DIN+PAL", "DIN+PosInWide"])
     def test_round_trip_bit_identical(self, tmp_path, variant):
@@ -560,7 +566,7 @@ class TestCheckpoints:
         blob = path.read_bytes()
         (cfg_len,) = struct.unpack_from("<I", blob, 8)
         text = config_edit(blob[12 : 12 + cfg_len])
-        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len :])
+        path.write_bytes(_reseal(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len :]))
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
@@ -571,8 +577,33 @@ class TestCheckpoints:
         (cfg_len,) = struct.unpack_from("<I", blob, 8)
         (name_len,) = struct.unpack_from("<I", blob, 12 + cfg_len)
         struct.pack_into("<I", blob, 16 + cfg_len + name_len, 200)  # the first tensor's rank
-        path.write_bytes(bytes(blob))
+        path.write_bytes(_reseal(bytes(blob)))
         with pytest.raises(FormatError, match="shape"):
+            load_checkpoint(path)
+
+    def test_flipped_value_byte_fails_the_checksum(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(tiny_config(), "DPIN", seed=23))
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) - 4 - 3] ^= 0x7F  # inside the last tensor's values
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="checksum"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [1, 4])
+    def test_truncated_checksum_rejected(self, tmp_path, cut):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(tiny_config(), "DPIN", seed=23))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(tiny_config(), "DPIN", seed=23))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-4])  # the layout before the CRC
+        with pytest.raises(FormatError, match="version 1"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from posrank.autodiff import Tensor, binary_cross_entropy
+from posrank.autodiff import Tensor, backward, binary_cross_entropy
 from posrank.errors import NumericError, UsageError
 from posrank.metrics import pauc
-from posrank.model import build_model, save_checkpoint
+from posrank.model import build_model, prepare_batch, save_checkpoint, score_displayed
 from posrank.train import (
     TrainConfig,
     evaluate,
@@ -109,6 +109,34 @@ class TestTrainLoop:
         tc = TrainConfig(batch_size=6, epochs=50, seed=5, eval_every=1, patience=2)
         _, history = train(train_reqs, cfg, "DPIN", tc, val_requests=val_reqs)
         assert len(history.epochs) < 50
+
+    def test_best_epoch_is_the_returned_one(self):
+        cfg = tiny_config()
+        train_reqs = _toy_requests(cfg, 6)
+        val_reqs = _toy_requests(cfg, 6, seed0=90)
+        tc = TrainConfig(batch_size=6, epochs=6, seed=4, eval_every=1)
+        _, history = train(train_reqs, cfg, "DPIN", tc, val_requests=val_reqs)
+        assert history.best_epoch == history.epochs[int(np.nanargmax(history.val_pauc))]
+        _, unvalidated = train(train_reqs, cfg, "DPIN", tc)
+        assert unvalidated.best_epoch is None
+
+    def test_grad_norms_are_those_of_the_last_batch(self):
+        cfg = tiny_config()
+        requests = _toy_requests(cfg, 3)
+        tc = TrainConfig(batch_size=100, epochs=1, seed=6, eval_every=0)  # one batch
+        _, history = train(requests, cfg, "DPIN", tc)
+        fresh = build_model(cfg, "DPIN", tc.seed)
+        prep = prepare_batch(requests, cfg)
+        backward(binary_cross_entropy(score_displayed(fresh, prep), prep.clicks))
+        squares: dict[str, float] = {}
+        for name, t in fresh.tensors.items():
+            if t.grad is not None:
+                group = name.split(".")[0]
+                squares[group] = squares.get(group, 0.0) + float((t.grad**2).sum())
+        (norms,) = history.grad_norms
+        assert set(norms) == set(squares) and "embed" in norms
+        for group, sq in squares.items():
+            assert norms[group] == pytest.approx(math.sqrt(sq), rel=1e-9), group
 
     def test_history_tsv_header(self):
         cfg = tiny_config()
