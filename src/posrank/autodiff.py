@@ -113,48 +113,11 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, _coerce(other) * -1.0)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise UsageError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- method sugar ---------------------------------------------------
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def log(self):
-        return log(self)
-
-    def sum(self):
-        return total_sum(self)
-
-    def mean(self):
-        return total_mean(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
 
 def _coerce(x) -> Tensor:
@@ -193,10 +156,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
@@ -217,15 +176,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _make(data, (a,), vjp)
-
-
 # -- reductions -----------------------------------------------------------
 
 
@@ -234,16 +184,6 @@ def total_sum(a: Tensor) -> Tensor:
 
     def vjp(g):
         return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _make(data, (a,), vjp)
-
-
-def total_mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    data = np.asarray(a.data.sum() / n)
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, a.shape).copy(),)
 
     return _make(data, (a,), vjp)
 
@@ -261,13 +201,16 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), vjp)
 
 
-def transpose_last2(a: Tensor) -> Tensor:
-    if a.ndim < 2:
-        raise UsageError(f"transpose_last2 needs ndim >= 2, got shape {a.shape}")
-    data = np.swapaxes(a.data, -1, -2)
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes of `a`: output axis i is input axis ``axes[i]`` (a view)."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise UsageError(f"transpose: axes {axes} are not a permutation of {a.ndim} axes")
+    data = np.transpose(a.data, axes)
+    inverse = tuple(axes.index(ax) for ax in range(a.ndim))
 
     def vjp(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (np.transpose(g, inverse),)
 
     return _make(data, (a,), vjp)
 

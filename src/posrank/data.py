@@ -412,8 +412,8 @@ def _check_impression(raw: RawImpression, max_position: int) -> None:
         raise UsageError(f"position {raw.position} outside [1, {max_position}]")
     if raw.click not in (0, 1):
         raise UsageError(f"click must be 0 or 1, got {raw.click}")
-    if raw.bid <= 0:
-        raise UsageError(f"bid must be positive, got {raw.bid}")
+    if not (np.isfinite(raw.bid) and raw.bid > 0):
+        raise UsageError(f"bid must be positive and finite, got {raw.bid}")
     if raw.traffic not in TRAFFIC_KINDS:
         raise UsageError(f"traffic must be one of {TRAFFIC_KINDS}, got {raw.traffic!r}")
 

@@ -93,7 +93,7 @@ def variant_spec(variant: str) -> VariantSpec:
 
 
 CHECKPOINT_MAGIC = b"DPIN"
-CHECKPOINT_VERSION = 2  # 2: a CRC-32 of everything after magic and version closes the file
+CHECKPOINT_VERSION = 3  # 2: a CRC-32 closes the file; 3: one [d_model, d_model] wq/wk/wv per block
 
 
 @dataclass(frozen=True)
@@ -224,12 +224,10 @@ def _param_specs(config: ModelConfig, variant: str) -> list[tuple[str, str, tupl
         item_rep_dim, position_rep_dim = config.item_rep_dim, dm
 
     if spec.transformer:
-        dk = dm // config.heads
         for b in range(config.blocks):
-            for h in range(config.heads):
-                specs.append((f"tf{b}.wq{h}", "weight", (dm, dk)))
-                specs.append((f"tf{b}.wk{h}", "weight", (dm, dk)))
-                specs.append((f"tf{b}.wv{h}", "weight", (dm, dk)))
+            specs.append((f"tf{b}.wq", "weight", (dm, dm)))
+            specs.append((f"tf{b}.wk", "weight", (dm, dm)))
+            specs.append((f"tf{b}.wv", "weight", (dm, dm)))
             specs.append((f"tf{b}.wo", "weight", (dm, dm)))
             specs.append((f"tf{b}.ln1.gain", "one", (dm,)))
             specs.append((f"tf{b}.ln1.bias", "zero", (dm,)))
@@ -455,26 +453,36 @@ def position_interaction(
 
 
 def transformer_encode(params: ParameterSet, v: Tensor) -> Tensor:
-    """Self-attention blocks across the position axis: [B, K, d_model] -> same."""
+    """Self-attention blocks across the position axis: [B, K, d_model] -> same.
+
+    Heads are a batch axis: each block projects queries, keys and values
+    with one [d_model, d_model] matmul each, and head h owns columns
+    h·dk … (h+1)·dk − 1 of `wq`, `wk` and `wv` (dk = d_model / heads).
+    One attention then runs over all B·H (request, head) pairs.
+    """
     cfg = params.config
     if v.ndim != 3 or v.shape[1] != cfg.max_position or v.shape[2] != cfg.d_model:
         raise UsageError(
             f"transformer_encode expects [B, {cfg.max_position}, {cfg.d_model}], got {v.shape}"
         )
     b, k, dm = v.shape
-    dk = dm // cfg.heads
+    nh = cfg.heads
+    dk = dm // nh
     inv_sqrt_dk = 1.0 / np.sqrt(dk)
+
+    def split_heads(proj: Tensor, axes: tuple[int, ...]) -> Tensor:
+        # [B·K, d_model] -> [B, K, H, dk], permuted by `axes`, heads merged into the batch
+        split = ad.transpose(ad.reshape(proj, (b, k, nh, dk)), axes)
+        return ad.reshape(split, (b * nh,) + split.shape[2:])
+
     x = ad.reshape(v, (b * k, dm))
     for blk in range(cfg.blocks):
-        heads = []
-        for h in range(cfg.heads):
-            q = ad.reshape(ad.matmul(x, params.tensors[f"tf{blk}.wq{h}"]), (b, k, dk))
-            key = ad.reshape(ad.matmul(x, params.tensors[f"tf{blk}.wk{h}"]), (b, k, dk))
-            val = ad.reshape(ad.matmul(x, params.tensors[f"tf{blk}.wv{h}"]), (b, k, dk))
-            scores = ad.bmm(q, ad.transpose_last2(key)) * inv_sqrt_dk
-            attended = ad.bmm(ad.softmax(scores), val)
-            heads.append(ad.reshape(attended, (b * k, dk)))
-        mha = ad.matmul(ad.concat(heads, axis=1), params.tensors[f"tf{blk}.wo"])
+        q = split_heads(ad.matmul(x, params.tensors[f"tf{blk}.wq"]), (0, 2, 1, 3))  # [B·H, K, dk]
+        key = split_heads(ad.matmul(x, params.tensors[f"tf{blk}.wk"]), (0, 2, 3, 1))  # [B·H, dk, K]
+        val = split_heads(ad.matmul(x, params.tensors[f"tf{blk}.wv"]), (0, 2, 1, 3))
+        attended = ad.bmm(ad.softmax(ad.bmm(q, key) * inv_sqrt_dk), val)
+        merged = ad.transpose(ad.reshape(attended, (b, nh, k, dk)), (0, 2, 1, 3))
+        mha = ad.matmul(ad.reshape(merged, (b * k, dm)), params.tensors[f"tf{blk}.wo"])
         x = ad.layer_norm(x + mha, params.tensors[f"tf{blk}.ln1.gain"], params.tensors[f"tf{blk}.ln1.bias"])
         ff = ad.matmul(
             ad.relu(ad.matmul(x, params.tensors[f"tf{blk}.ff.w1"]) + params.tensors[f"tf{blk}.ff.b1"]),

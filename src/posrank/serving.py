@@ -90,8 +90,8 @@ def _check_instance(matrix: np.ndarray, bids: np.ndarray) -> tuple[np.ndarray, n
         raise UsageError(f"allocation needs [J,K] ctrs and [J] bids, got {matrix.shape}/{bids.shape}")
     if not np.all(np.isfinite(matrix)):
         raise UsageError("allocation: ctr matrix must be finite")
-    if np.any(bids <= 0):
-        raise UsageError("allocation: bids must be positive")
+    if not np.all(np.isfinite(bids) & (bids > 0)):
+        raise UsageError("allocation: bids must be positive and finite")
     return matrix, bids
 
 

@@ -104,6 +104,13 @@ class TestEncodeImpression:
         with pytest.raises(UsageError, match="traffic must be one of"):
             self._group([_imp(traffic="organic")])
 
+    @pytest.mark.parametrize("bid", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bid_from_a_file_rejected(self, tmp_path, bid):
+        path = tmp_path / "impressions.tsv"
+        write_impressions(path, [_imp(bid=bid)])
+        with pytest.raises(UsageError, match="bid must be positive and finite"):
+            self._group(read_impressions(path))
+
     def test_unseen_query_becomes_zero(self):
         vocab = Vocabulary.build([_imp(query="seen")])
         (req,) = self._group([_imp(query="unseen")], vocab)

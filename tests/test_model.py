@@ -266,7 +266,51 @@ class TestPositionInteraction:
         assert not np.array_equal(a.data, b.data)
 
 
+def _per_head_transformer(params, v):
+    """The per-head loop `transformer_encode` replaces: H attentions over [B, K, dk].
+
+    Head h projects with columns h·dk … (h+1)·dk − 1 of `wq`, `wk` and `wv`,
+    and the heads are concatenated in order before `wo`.
+    """
+    cfg = params.config
+    t = params.tensors
+    b, k, dm = v.shape
+    dk = dm // cfg.heads
+    inv_sqrt_dk = 1.0 / np.sqrt(dk)
+    x = ad.reshape(v, (b * k, dm))
+    for blk in range(cfg.blocks):
+        heads = []
+        for h in range(cfg.heads):
+            q, key, val = (
+                ad.reshape(ad.matmul(x, Tensor(t[f"tf{blk}.{w}"].data[:, h * dk : (h + 1) * dk])), (b, k, dk))
+                for w in ("wq", "wk", "wv")
+            )
+            scores = ad.bmm(q, ad.transpose(key, (0, 2, 1))) * inv_sqrt_dk
+            heads.append(ad.reshape(ad.bmm(ad.softmax(scores), val), (b * k, dk)))
+        mha = ad.matmul(ad.concat(heads, axis=1), t[f"tf{blk}.wo"])
+        x = ad.layer_norm(x + mha, t[f"tf{blk}.ln1.gain"], t[f"tf{blk}.ln1.bias"])
+        hidden = ad.relu(ad.matmul(x, t[f"tf{blk}.ff.w1"]) + t[f"tf{blk}.ff.b1"])
+        ff = ad.matmul(hidden, t[f"tf{blk}.ff.w2"]) + t[f"tf{blk}.ff.b2"]
+        x = ad.layer_norm(x + ff, t[f"tf{blk}.ln2.gain"], t[f"tf{blk}.ln2.bias"])
+    return ad.reshape(x, (b, k, dm))
+
+
 class TestTransformer:
+    @pytest.mark.parametrize("make_config", [tiny_config, desk_config], ids=["tiny", "desk"])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_heads_as_batch_equal_the_per_head_loop(self, make_config, batch):
+        cfg = make_config()
+        params = build_model(cfg, "DPIN", seed=4)
+        rng = np.random.default_rng(batch)
+        for name in params.names():
+            if name.startswith("tf"):  # biases and gains off their zero/one init
+                params.tensors[name].data[...] = rng.normal(0.0, 0.5, size=params.tensors[name].shape)
+        v = rng.normal(size=(batch, cfg.max_position, cfg.d_model))
+        with ad.no_grad():
+            out = transformer_encode(params, Tensor(v)).data
+            ref = _per_head_transformer(params, Tensor(v)).data
+        assert out.tobytes() == ref.tobytes()
+
     def test_wrong_row_count_rejected(self):
         cfg = tiny_config()
         params = build_model(cfg, "DPIN", seed=0)
@@ -295,7 +339,9 @@ class TestTransformer:
     def test_head_dim_split(self):
         cfg = desk_config(d_model=64, heads=2)
         params = build_model(cfg, "DPIN", seed=0)
-        assert params.tensors["tf0.wq0"].shape == (64, 32)
+        for blk in range(cfg.blocks):
+            for w in ("wq", "wk", "wv"):
+                assert params.tensors[f"tf{blk}.{w}"].shape == (64, 64)
 
 
 class TestCombination:
@@ -598,12 +644,15 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="checksum"):
             load_checkpoint(path)
 
-    def test_version_1_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_file_rejected(self, tmp_path, version):
+        # version 1 had no CRC; version 2 stored per-head wq{h}/wk{h}/wv{h}
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, build_model(tiny_config(), "DPIN", seed=23))
         blob = path.read_bytes()
-        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-4])  # the layout before the CRC
-        with pytest.raises(FormatError, match="version 1"):
+        body = blob[8:-4] if version == 1 else blob[8:]
+        path.write_bytes(blob[:4] + struct.pack("<I", version) + body)
+        with pytest.raises(FormatError, match=f"version {version}"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

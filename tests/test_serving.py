@@ -53,6 +53,14 @@ class TestGreedy:
         with pytest.raises(UsageError):
             greedy_allocate(np.array([[np.inf]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bid_rejected(self, bad):
+        # unchecked, the bad bid wins slot 1 and the total value turns nan/inf
+        matrix = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        for allocate in (greedy_allocate, exhaustive_allocate):
+            with pytest.raises(UsageError, match="bids must be positive and finite"):
+                allocate(matrix, np.array([1.0, bad, 2.0]))
+
     def test_bid_rescaling_keeps_the_assignment(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
