@@ -142,6 +142,8 @@ class Vocabulary:
     def __init__(self, min_count: int = 1):
         self.min_count = min_count
         self._maps: dict[str, dict[str, int]] = {f: {} for f in VOCAB_FIELDS}
+        # per field, the token of id i at index i - 1
+        self._tokens: dict[str, list[str]] = {f: [] for f in VOCAB_FIELDS}
 
     def size(self, field_name: str) -> int:
         return len(self._field(field_name)) + 1
@@ -150,11 +152,10 @@ class Vocabulary:
         return self._field(field_name).get(token, 0)
 
     def decode(self, field_name: str, idx: int) -> str | None:
-        """Inverse of encode; None for the unknown id 0."""
-        for token, i in self._field(field_name).items():
-            if i == idx:
-                return token
-        return None
+        """Inverse of encode; None for the unknown id 0 and for ids outside [1, size)."""
+        self._field(field_name)
+        tokens = self._tokens[field_name]
+        return tokens[idx - 1] if 1 <= idx <= len(tokens) else None
 
     def _field(self, field_name: str) -> dict[str, int]:
         if field_name not in self._maps:
@@ -180,6 +181,7 @@ class Vocabulary:
             for token in order[f]:
                 if counts[f][token] >= min_count:
                     vocab._maps[f][token] = next_id
+                    vocab._tokens[f].append(token)
                     next_id += 1
         return vocab
 

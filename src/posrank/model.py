@@ -416,9 +416,10 @@ def interest_aggregation(
     seq_embeddings [N, L, D], mask [N, L] (1 = real record), query [N*M, Q]
     with rows n*M .. n*M+M-1 querying sequence n -> [N*M, D]. A record's
     attention hidden layer is ReLU([record, query] wa + ba): records and
-    queries are projected once each, through their row blocks of wa, and
-    meet by broadcasting, so no sequence is copied per query. Padding slots
-    get zero weight; an all-padding sequence pools to zeros.
+    queries are projected once each, through their row blocks of wa (ba
+    rides on the query rows), and meet by broadcasting, so no sequence is
+    copied per query. Padding slots get zero weight; an all-padding
+    sequence pools to zeros.
     """
     n, seq_len, dim = seq_embeddings.shape
     if query.ndim != 2 or query.shape[0] % n:
@@ -426,8 +427,8 @@ def interest_aggregation(
     m = query.shape[0] // n
     wa, ba, wb, bb = (params.tensors[f"{weight_prefix}.{w}"] for w in ("wa", "ba", "wb", "bb"))
     record_part = ad.matmul(ad.reshape(seq_embeddings, (n * seq_len, dim)), ad.gather_rows(wa, np.arange(dim)))
-    query_part = ad.matmul(query, ad.gather_rows(wa, np.arange(dim, wa.shape[0])))
-    hidden = ad.relu(ad.reshape(record_part, (n, 1, seq_len, -1)) + ad.reshape(query_part, (n, m, 1, -1)) + ba)
+    query_part = ad.matmul(query, ad.gather_rows(wa, np.arange(dim, wa.shape[0]))) + ba
+    hidden = ad.relu(ad.reshape(record_part, (n, 1, seq_len, -1)) + ad.reshape(query_part, (n, m, 1, -1)))
     logits = ad.matmul(ad.reshape(hidden, (n * m * seq_len, -1)), wb) + bb
     # padding slots get an additive -1e9 so their softmax weight underflows to 0
     logits = ad.reshape(logits, (n, m, seq_len)) + Tensor((1.0 - mask)[:, None, :] * _MASK_OFF)

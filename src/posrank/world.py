@@ -15,7 +15,6 @@ evaluation.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -229,17 +228,6 @@ def _simulate_request(
     return impressions, behaviors
 
 
-def _simulate_chunk(args) -> tuple[list[RawImpression], list[RawBehavior]]:
-    world, indices, policy = args
-    imps: list[RawImpression] = []
-    behs: list[RawBehavior] = []
-    for idx in indices:
-        i, b = _simulate_request(world, idx, policy)
-        imps.extend(i)
-        behs.extend(b)
-    return imps, behs
-
-
 def simulate_traffic(
     world: SyntheticWorld,
     policy: str = ORACLE_POLICY,
@@ -247,27 +235,18 @@ def simulate_traffic(
 ) -> tuple[list[RawImpression], list[RawBehavior]]:
     """Run the full request timeline; returns (impression log, click history).
 
-    Requests are independent given their per-request random streams, so the
-    work may be split across processes; output order is by request index
-    either way.
+    Requests run in index order in this process. `workers` is kept for
+    callers that pass ``workers=1``; any other value raises UsageError.
     """
+    if workers != 1:
+        raise UsageError(f"simulate_traffic runs in one process; workers must be 1, got {workers!r}")
     cfg = world.config
-    total = cfg.days * cfg.requests_per_day
-    if workers <= 1 or total < 256:
-        return _simulate_chunk((world, range(total), policy))
-
-    chunk_bounds = np.linspace(0, total, workers + 1, dtype=int)
-    chunks = [
-        (world, range(int(chunk_bounds[i]), int(chunk_bounds[i + 1])), policy)
-        for i in range(workers)
-        if chunk_bounds[i] < chunk_bounds[i + 1]
-    ]
     impressions: list[RawImpression] = []
     behaviors: list[RawBehavior] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for imps, behs in pool.map(_simulate_chunk, chunks):
-            impressions.extend(imps)
-            behaviors.extend(behs)
+    for idx in range(cfg.days * cfg.requests_per_day):
+        imps, behs = _simulate_request(world, idx, policy)
+        impressions.extend(imps)
+        behaviors.extend(behs)
     return impressions, behaviors
 
 

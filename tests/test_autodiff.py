@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posrank.autodiff as ad
@@ -440,6 +440,10 @@ def _span(cut, size):
 
 
 _KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+# paper-scale shapes cost milliseconds each: fewer examples, no einsum reference
+_LARGE_KERNEL_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+# n == 1 takes the per-row kernel, every other width the 8-row blocks
+_WIDTHS = st.one_of(st.just(1), st.integers(2, 700))
 
 
 class TestRowStableKernels:
@@ -482,3 +486,58 @@ class TestRowStableKernels:
         assert sub.tobytes() == full[b0:b1, r0:r1].tobytes()
         ref = np.einsum("bij,bjk->bik", a, b, optimize=False)
         assert np.all(np.abs(full - ref) <= _einsum_bound(a, b, "bij,bjk->bik"))
+
+    @_LARGE_KERNEL_SETTINGS
+    @given(
+        m=st.integers(1, 90), k=st.integers(1, 1200), n=_WIDTHS,
+        ta=st.booleans(), tb=st.booleans(), cut=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=90, k=1200, n=700, ta=True, tb=False, cut=(0.1, 0.6), seed=0)
+    @example(m=89, k=1200, n=1, ta=False, tb=True, cut=(0.5, 0.9), seed=1)
+    @example(m=17, k=1024, n=1, ta=True, tb=True, cut=(0.0, 1.0), seed=2)
+    def test_matmul_rows_are_batch_independent_at_paper_shapes(self, m, k, n, ta, tb, cut, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _operand(rng, (m, k), ta), _operand(rng, (k, n), tb)
+        full = ad.matmul(Tensor(a), Tensor(b)).data
+        assert full.tobytes() == ad.matmul(Tensor(a.copy()), Tensor(b.copy())).data.tobytes()
+        lo, hi = _span(cut, m)
+        sub = ad.matmul(Tensor(a[lo:hi]), Tensor(b)).data
+        assert sub.tobytes() == full[lo:hi].tobytes()
+        row = ad.matmul(Tensor(a[hi - 1 : hi]), Tensor(b)).data
+        assert row.tobytes() == full[hi - 1 : hi].tobytes()
+
+    @_LARGE_KERNEL_SETTINGS
+    @given(
+        nb=st.integers(1, 3), m=st.integers(1, 40), k=st.integers(1, 1200), n=_WIDTHS,
+        ta=st.booleans(), tb=st.booleans(),
+        batch_cut=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        row_cut=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nb=3, m=40, k=1200, n=700, ta=False, tb=True, batch_cut=(0.0, 0.5), row_cut=(0.2, 0.7), seed=0)
+    @example(nb=2, m=39, k=1200, n=1, ta=True, tb=False, batch_cut=(0.5, 1.0), row_cut=(0.1, 0.9), seed=1)
+    def test_bmm_batches_and_rows_are_independent_at_paper_shapes(
+        self, nb, m, k, n, ta, tb, batch_cut, row_cut, seed
+    ):
+        rng = np.random.default_rng(seed)
+        a, b = _operand(rng, (nb, m, k), ta), _operand(rng, (nb, k, n), tb)
+        full = ad.bmm(Tensor(a), Tensor(b)).data
+        assert full.tobytes() == ad.bmm(Tensor(a.copy()), Tensor(b.copy())).data.tobytes()
+        (b0, b1), (r0, r1) = _span(batch_cut, nb), _span(row_cut, m)
+        sub = ad.bmm(Tensor(a[b0:b1, r0:r1]), Tensor(b[b0:b1])).data
+        assert sub.tobytes() == full[b0:b1, r0:r1].tobytes()
+
+    @pytest.mark.parametrize("m,k,n", [(0, 5, 3), (0, 5, 1), (0, 0, 3), (4, 0, 3), (9, 0, 1), (17, 0, 9), (3, 4, 0)])
+    def test_empty_matmul_is_positive_zeros(self, m, k, n):
+        out = ad.matmul(Tensor(np.ones((m, k))), Tensor(np.ones((k, n)))).data
+        assert out.shape == (m, n)
+        assert out.tobytes() == np.zeros((m, n)).tobytes()
+
+    @pytest.mark.parametrize(
+        "nb,m,k,n", [(0, 3, 4, 5), (2, 0, 4, 5), (2, 0, 4, 1), (2, 3, 0, 5), (2, 9, 0, 5), (2, 3, 0, 1)]
+    )
+    def test_empty_bmm_is_positive_zeros(self, nb, m, k, n):
+        out = ad.bmm(Tensor(np.ones((nb, m, k))), Tensor(np.ones((nb, k, n)))).data
+        assert out.shape == (nb, m, n)
+        assert out.tobytes() == np.zeros((nb, m, n)).tobytes()

@@ -68,6 +68,15 @@ class TestVocabulary:
         assert vocab.encode("item_id", "common") == 1
         assert vocab.encode("item_id", "rare") == 0
 
+    def test_decode_outside_the_assigned_ids_is_none(self):
+        rows = [_imp(item_id="rare"), _imp(item_id="common"), _imp(item_id="common")]
+        vocab = Vocabulary.build(rows, min_count=2)
+        assert vocab.decode("item_id", 1) == "common"
+        for idx in (0, -1, -2, vocab.size("item_id"), vocab.size("item_id") + 5):
+            assert vocab.decode("item_id", idx) is None
+        with pytest.raises(UsageError, match="unknown vocabulary field"):
+            vocab.decode("no_such_field", 1)
+
     def test_first_seen_order_is_deterministic(self):
         rows = [_imp(item_id=t) for t in ("z", "a", "m", "a")]
         vocab = Vocabulary.build(rows)

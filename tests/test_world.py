@@ -208,8 +208,9 @@ class TestSimulation:
         share = np.mean([i.traffic == "randomized" for i in imps])
         assert abs(share - 0.25) < 0.03
 
-    def test_parallel_workers_match_sequential(self):
-        world = generate_world(_tiny(requests_per_day=200, days=2), seed=12)
-        seq = simulate_traffic(world, workers=1)
-        par = simulate_traffic(world, workers=3)
-        assert seq == par
+    @pytest.mark.parametrize("workers", [0, 2, -1])
+    def test_workers_other_than_one_rejected(self, workers):
+        world = generate_world(_tiny(requests_per_day=5, days=1), seed=12)
+        with pytest.raises(UsageError, match="workers"):
+            simulate_traffic(world, workers=workers)
+        assert simulate_traffic(world, workers=1) == simulate_traffic(world)

@@ -1,0 +1,42 @@
+"""Serving latency at paper scale: DIN, DPIN and DPIN+ItemAction at J = 10 and 50.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/paper_scale_latency.py --seed 0
+
+Builds each variant at `model.paper_scale_config` with 2,000 ids per
+vocabulary field, times the predict-then-allocate path with
+`serving.benchmark_latency` (30 trials after 5 warm-ups per cell) and prints
+one JSON object mapping "variant J=n" to the median and p95 in ms. The
+package comes from PYTHONPATH, so one copy of this script can time the
+sources of any checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+from posrank.data import VOCAB_FIELDS
+from posrank.model import build_model, paper_scale_config
+from posrank.serving import benchmark_latency
+
+VARIANTS = ("DIN", "DPIN", "DPIN+ItemAction")
+ITEM_COUNTS = (10, 50)
+IDS_PER_FIELD = 2_000
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    cfg = paper_scale_config({f: IDS_PER_FIELD for f in VOCAB_FIELDS})
+    params = {v: build_model(cfg, v, args.seed) for v in VARIANTS}
+    table = benchmark_latency(params, list(ITEM_COUNTS), seed=args.seed)
+    cells = {
+        f"{r.variant} J={r.num_items}": {"median_ms": r.median_us / 1e3, "p95_ms": r.p95_us / 1e3}
+        for r in table.rows
+    }
+    print(json.dumps(cells, indent=1))
+
+
+if __name__ == "__main__":
+    main()
