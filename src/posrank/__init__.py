@@ -1,8 +1,6 @@
 """Position-aware CTR prediction: models, synthetic world, metrics, serving."""
 
 from .autodiff import (
-    ADAM,
-    SGD,
     Optimizer,
     Tensor,
     backward,

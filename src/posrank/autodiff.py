@@ -477,12 +477,13 @@ def backward(loss: Tensor) -> None:
 
 # -- optimizers -------------------------------------------------------------
 
-SGD = "sgd"
-ADAM = "adam"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Optimizer:
-    """Plain SGD or bias-corrected adaptive-moment updates over named tensors.
+    """Bias-corrected adaptive-moment (Adam) updates over named tensors.
 
     One step works on a single flat vector: the gradients are concatenated
     once, and the moments live in flat arrays laid out in the same order.
@@ -492,21 +493,8 @@ class Optimizer:
     reused scratch buffers, so a step allocates no array of the model's size.
     """
 
-    def __init__(
-        self,
-        kind: str = ADAM,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        if kind not in (SGD, ADAM):
-            raise UsageError(f"unknown optimizer kind {kind!r}")
-        self.kind = kind
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._names: tuple[str, ...] = ()
         self._slices: list[slice] = []
@@ -523,7 +511,6 @@ class Optimizer:
             stop = start + params[name].data.size
             self._slices.append(slice(start, stop))
             start = stop
-        # np.zeros maps untouched pages lazily, so SGD never pays for moments
         self._m, self._v = np.zeros(start), np.zeros(start)
         for name, sl in zip(names, self._slices):
             if name in self._parked:
@@ -551,24 +538,20 @@ class Optimizer:
         self.step_count += 1
         # the same operations in the same order as the textbook per-tensor
         # update, so every parameter gets the same bits
-        upd, tmp = self._upd, self._tmp
-        if self.kind == SGD:
-            np.multiply(g, self.lr, out=upd)
-        else:
-            m, v = self._m, self._v
-            np.subtract(g, m, out=upd)
-            upd *= 1.0 - self.beta1
-            m += upd
-            np.multiply(g, g, out=upd)
-            upd -= v
-            upd *= 1.0 - self.beta2
-            v += upd
-            np.divide(m, 1.0 - self.beta1**self.step_count, out=upd)
-            upd *= self.lr
-            np.divide(v, 1.0 - self.beta2**self.step_count, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            upd /= tmp
+        upd, tmp, m, v = self._upd, self._tmp, self._m, self._v
+        np.subtract(g, m, out=upd)
+        upd *= 1.0 - ADAM_BETA1
+        m += upd
+        np.multiply(g, g, out=upd)
+        upd -= v
+        upd *= 1.0 - ADAM_BETA2
+        v += upd
+        np.divide(m, 1.0 - ADAM_BETA1**self.step_count, out=upd)
+        upd *= self.lr
+        np.divide(v, 1.0 - ADAM_BETA2**self.step_count, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        upd /= tmp
         for name, sl in zip(names, self._slices):
             p = params[name].data
             p -= upd[sl].reshape(p.shape)

@@ -1,13 +1,10 @@
 """Feature vocabularies, impression logs and per-position behavior sequences.
 
-File formats (UTF-8, tab-separated, one header row):
-
-impressions:
-    request_id  day  traffic  user_id  segment  query  geo  hour  dow
-    item_id  category  position  bid  click  ts
-
-behaviors (one row per historical click):
-    user_id  ts  position  item_id  category  query  geo  hour  dow
+File formats (UTF-8, tab-separated): an impression log holds one
+`RawImpression` per row, a behavior log one `RawBehavior` (one historical
+click) per row. The columns are the dataclass fields in declaration order,
+named in a header row; each value is written with `str` and read back with
+its field's declared type.
 
 Tokens are arbitrary strings; integer ids are assigned per field with id 0
 reserved for unknown/padding. Time differences are bucketed into 16
@@ -23,33 +20,13 @@ most-recent-first sequence per display position, stored back to back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
 from .errors import FormatError, UsageError
-
-IMPRESSION_COLUMNS = (
-    "request_id",
-    "day",
-    "traffic",
-    "user_id",
-    "segment",
-    "query",
-    "geo",
-    "hour",
-    "dow",
-    "item_id",
-    "category",
-    "position",
-    "bid",
-    "click",
-    "ts",
-)
-
-BEHAVIOR_COLUMNS = ("user_id", "ts", "position", "item_id", "category", "query", "geo", "hour", "dow")
 
 USER_FIELDS = ("user_id", "segment")
 CONTEXT_FIELDS = ("query", "geo", "hour", "dow")
@@ -84,27 +61,6 @@ class RawImpression:
     click: int
     ts: int
 
-    def to_row(self) -> str:
-        return "\t".join(
-            (
-                self.request_id,
-                str(self.day),
-                self.traffic,
-                self.user_id,
-                self.segment,
-                self.query,
-                self.geo,
-                self.hour,
-                self.dow,
-                self.item_id,
-                self.category,
-                str(self.position),
-                repr(self.bid),
-                str(self.click),
-                str(self.ts),
-            )
-        )
-
 
 @dataclass
 class RawBehavior:
@@ -120,27 +76,15 @@ class RawBehavior:
     hour: str
     dow: str
 
-    def to_row(self) -> str:
-        return "\t".join(
-            (
-                self.user_id,
-                str(self.ts),
-                str(self.position),
-                self.item_id,
-                self.category,
-                self.query,
-                self.geo,
-                self.hour,
-                self.dow,
-            )
-        )
+
+IMPRESSION_COLUMNS = tuple(f.name for f in fields(RawImpression))
+BEHAVIOR_COLUMNS = tuple(f.name for f in fields(RawBehavior))
 
 
 class Vocabulary:
     """Per-field token -> dense id maps; id 0 is unknown/padding everywhere."""
 
-    def __init__(self, min_count: int = 1):
-        self.min_count = min_count
+    def __init__(self):
         self._maps: dict[str, dict[str, int]] = {f: {} for f in VOCAB_FIELDS}
         # per field, the token of id i at index i - 1
         self._tokens: dict[str, list[str]] = {f: [] for f in VOCAB_FIELDS}
@@ -163,119 +107,68 @@ class Vocabulary:
         return self._maps[field_name]
 
     @classmethod
-    def build(cls, impressions: Iterable[RawImpression], min_count: int = 1) -> "Vocabulary":
-        """Assign ids in first-seen order to tokens occurring >= min_count times."""
-        counts: dict[str, dict[str, int]] = {f: {} for f in VOCAB_FIELDS}
-        order: dict[str, list[str]] = {f: [] for f in VOCAB_FIELDS}
+    def build(cls, impressions: Iterable[RawImpression]) -> "Vocabulary":
+        """Assign ids 1, 2, ... to each field's tokens in first-seen order."""
+        vocab = cls()
         for imp in impressions:
             for f in VOCAB_FIELDS:
                 token = getattr(imp, f)
-                bucket = counts[f]
-                if token not in bucket:
-                    bucket[token] = 0
-                    order[f].append(token)
-                bucket[token] += 1
-        vocab = cls(min_count=min_count)
-        for f in VOCAB_FIELDS:
-            next_id = 1
-            for token in order[f]:
-                if counts[f][token] >= min_count:
-                    vocab._maps[f][token] = next_id
+                ids = vocab._maps[f]
+                if token not in ids:
+                    ids[token] = len(ids) + 1
                     vocab._tokens[f].append(token)
-                    next_id += 1
         return vocab
 
 
 # -- file I/O ---------------------------------------------------------------
 
 
-def _parse_row(line: str, n_cols: int, path: str, lineno: int) -> list[str]:
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != n_cols:
-        raise FormatError(f"{path}:{lineno}: expected {n_cols} columns, found {len(parts)}")
-    return parts
+def _read_log(path, record: type) -> list:
+    """Rows of a log of `record`s; FormatError names the file and line of a bad row."""
+    path = Path(path)
+    columns = fields(record)
+    types = get_type_hints(record)
+    parsers = [types[c.name] for c in columns]
+    rows = []
+    with path.open("r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header.split("\t") != [c.name for c in columns]:
+            raise FormatError(f"{path}: unsupported {record.__name__} header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(parsers):
+                raise FormatError(f"{path}:{lineno}: expected {len(parsers)} columns, found {len(parts)}")
+            try:
+                rows.append(record(*[parse(part) for parse, part in zip(parsers, parts)]))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
+def _write_log(path, record: type, rows: Iterable) -> None:
+    names = [c.name for c in fields(record)]
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\t".join(names) + "\n")
+        for row in rows:
+            fh.write("\t".join(str(getattr(row, name)) for name in names) + "\n")
 
 
 def read_impressions(path) -> list[RawImpression]:
-    path = Path(path)
-    rows: list[RawImpression] = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split("\t") != list(IMPRESSION_COLUMNS):
-            raise FormatError(f"{path}: unsupported impression header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            p = _parse_row(line, len(IMPRESSION_COLUMNS), str(path), lineno)
-            try:
-                rows.append(
-                    RawImpression(
-                        request_id=p[0],
-                        day=int(p[1]),
-                        traffic=p[2],
-                        user_id=p[3],
-                        segment=p[4],
-                        query=p[5],
-                        geo=p[6],
-                        hour=p[7],
-                        dow=p[8],
-                        item_id=p[9],
-                        category=p[10],
-                        position=int(p[11]),
-                        bid=float(p[12]),
-                        click=int(p[13]),
-                        ts=int(p[14]),
-                    )
-                )
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+    return _read_log(path, RawImpression)
 
 
 def write_impressions(path, impressions: Iterable[RawImpression]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(IMPRESSION_COLUMNS) + "\n")
-        for imp in impressions:
-            fh.write(imp.to_row() + "\n")
+    _write_log(path, RawImpression, impressions)
 
 
 def read_behaviors(path) -> list[RawBehavior]:
-    path = Path(path)
-    rows: list[RawBehavior] = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split("\t") != list(BEHAVIOR_COLUMNS):
-            raise FormatError(f"{path}: unsupported behavior header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            p = _parse_row(line, len(BEHAVIOR_COLUMNS), str(path), lineno)
-            try:
-                rows.append(
-                    RawBehavior(
-                        user_id=p[0],
-                        ts=int(p[1]),
-                        position=int(p[2]),
-                        item_id=p[3],
-                        category=p[4],
-                        query=p[5],
-                        geo=p[6],
-                        hour=p[7],
-                        dow=p[8],
-                    )
-                )
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+    return _read_log(path, RawBehavior)
 
 
 def write_behaviors(path, behaviors: Iterable[RawBehavior]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(BEHAVIOR_COLUMNS) + "\n")
-        for b in behaviors:
-            fh.write(b.to_row() + "\n")
+    _write_log(path, RawBehavior, behaviors)
 
 
 # -- behavior sequences ------------------------------------------------------

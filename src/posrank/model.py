@@ -34,9 +34,10 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -115,6 +116,8 @@ class ModelConfig:
             raise UsageError(f"d_model={self.d_model} must be divisible by heads={self.heads}")
         if any(h < 1 for h in self.mlp_hidden) or self.combination_hidden < 1:
             raise UsageError("hidden sizes must be positive")
+        if min(self.embed_dim, self.d_model, self.max_len, self.max_position) < 1 or self.blocks < 0:
+            raise UsageError("embed_dim, d_model, max_len and max_position must be >= 1 and blocks >= 0")
         missing = [f for f in VOCAB_FIELDS if f not in self.vocab_sizes]
         if missing:
             raise UsageError(f"vocab_sizes missing fields {missing}")
@@ -633,19 +636,16 @@ def predict_matrix(params: ParameterSet, request: Request) -> np.ndarray:
 
 
 def _config_to_text(config: ModelConfig, variant: str) -> str:
-    lines = [
-        f"variant={variant}",
-        f"embed_dim={config.embed_dim}",
-        "mlp_hidden=" + ",".join(str(h) for h in config.mlp_hidden),
-        f"combination_hidden={config.combination_hidden}",
-        f"d_model={config.d_model}",
-        f"heads={config.heads}",
-        f"blocks={config.blocks}",
-        f"max_len={config.max_len}",
-        f"max_position={config.max_position}",
-    ]
-    for f in VOCAB_FIELDS:
-        lines.append(f"vocab.{f}={config.vocab_sizes[f]}")
+    """`key=value` lines: the variant, each `ModelConfig` size in field order
+    (a tuple comma-separated), then one `vocab.<field>` line per vocabulary field."""
+    lines = [f"variant={variant}"]
+    for f in fields(ModelConfig):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            lines.append(f"{f.name}=" + ",".join(map(str, value)))
+        elif not isinstance(value, dict):
+            lines.append(f"{f.name}={value}")
+    lines += [f"vocab.{f}={config.vocab_sizes[f]}" for f in VOCAB_FIELDS]
     return "\n".join(lines) + "\n"
 
 
@@ -654,19 +654,19 @@ def _config_from_text(text: str) -> tuple[ModelConfig, str]:
     for line in text.strip().splitlines():
         key, _, value = line.partition("=")
         kv[key] = value
+    types = get_type_hints(ModelConfig)
     try:
         variant = kv["variant"]
-        config = ModelConfig(
-            vocab_sizes={f: int(kv[f"vocab.{f}"]) for f in VOCAB_FIELDS},
-            embed_dim=int(kv["embed_dim"]),
-            mlp_hidden=tuple(int(x) for x in kv["mlp_hidden"].split(",")),
-            combination_hidden=int(kv["combination_hidden"]),
-            d_model=int(kv["d_model"]),
-            heads=int(kv["heads"]),
-            blocks=int(kv["blocks"]),
-            max_len=int(kv["max_len"]),
-            max_position=int(kv["max_position"]),
-        )
+        values = {}
+        for f in fields(ModelConfig):
+            kind = get_origin(types[f.name])
+            if kind is dict:
+                values[f.name] = {v: int(kv[f"vocab.{v}"]) for v in VOCAB_FIELDS}
+            elif kind is tuple:
+                values[f.name] = tuple(int(x) for x in kv[f.name].split(","))
+            else:
+                values[f.name] = int(kv[f.name])
+        config = ModelConfig(**values)
     except KeyError as exc:
         raise FormatError(f"checkpoint config is missing key {exc}") from exc
     except ValueError as exc:
@@ -738,6 +738,8 @@ def load_checkpoint(path) -> ParameterSet:
         name = text(name_len, "tensor name")
         if name not in expected:
             raise FormatError(f"checkpoint tensor {name!r} does not belong to variant {variant!r}")
+        if name in tensors:
+            raise FormatError(f"checkpoint tensor {name!r} is stored twice")
         (rank,) = struct.unpack("<I", take(4, "tensor rank"))
         shape = tuple(struct.unpack("<Q", take(8, "tensor dim"))[0] for _ in range(rank))
         if shape != expected[name]:

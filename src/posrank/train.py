@@ -44,10 +44,8 @@ class TrainConfig:
     batch_size: int = 256  # impressions per batch; grouped into whole requests
     epochs: int = 5
     learning_rate: float = 1e-3
-    optimizer: str = ad.ADAM
     seed: int = 0
     eval_every: int = 1  # epochs between validation passes; 0 disables
-    patience: int = 0  # stop after this many non-improving evals; 0 disables
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
@@ -164,14 +162,13 @@ def train(
                 f"(first: {offending[0]})"
             )
     params = build_model(config, variant, train_config.seed)
-    opt = ad.Optimizer(kind=train_config.optimizer, lr=train_config.learning_rate)
+    opt = ad.Optimizer(lr=train_config.learning_rate)
     items_per_request = train_requests[0].num_candidates
     requests_per_batch = max(1, train_config.batch_size // max(1, items_per_request))
 
     history = TrainHistory()
     best: ParameterSet | None = None
     best_pauc = -np.inf
-    stale = 0
 
     for epoch in range(1, train_config.epochs + 1):
         t0 = time.perf_counter()
@@ -212,13 +209,8 @@ def train(
                 best_pauc = report.pauc
                 best = params.copy()
                 history.best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
         history.append(
             epoch, float(np.mean(losses)), val_auc, val_pauc, time.perf_counter() - t0, _group_grad_norms(grads)
         )
-        if do_eval and train_config.patience > 0 and stale >= train_config.patience:
-            break
 
     return (best if best is not None else params), history

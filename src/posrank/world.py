@@ -19,14 +19,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import RawBehavior, RawImpression
+from .data import BEHAVIOR_COLUMNS, RawBehavior, RawImpression
 from .errors import UsageError
 
 SEPARABLE = "separable"
 USER_DEPENDENT = "user-dependent"
-
-ORACLE_POLICY = "oracle"
-RANDOM_POLICY = "random"
 
 SECONDS_PER_DAY = 86400
 
@@ -62,6 +59,10 @@ class SimConfig:
             raise UsageError(f"unknown examination mode {self.examination_mode!r}")
         if not self.etas:
             raise UsageError("at least one examination decay exponent is required")
+        if not all(np.isfinite(eta) and eta >= 0 for eta in self.etas):
+            raise UsageError(f"examination decay exponents must be finite and >= 0, got {self.etas}")
+        if not (np.isfinite(self.bid_sigma) and self.bid_sigma >= 0):
+            raise UsageError(f"bid_sigma must be finite and >= 0, got {self.bid_sigma}")
         if self.days < 1 or self.requests_per_day < 1 or self.max_position < 1:
             raise UsageError("days, requests_per_day and max_position must be >= 1")
 
@@ -155,7 +156,7 @@ def _request_rng(world_seed: int, request_index: int) -> np.random.Generator:
 
 
 def _simulate_request(
-    world: SyntheticWorld, request_index: int, policy: str
+    world: SyntheticWorld, request_index: int
 ) -> tuple[list[RawImpression], list[RawBehavior]]:
     cfg = world.config
     rng = _request_rng(world.seed, request_index)
@@ -171,13 +172,8 @@ def _simulate_request(
     candidates = rng.choice(cfg.n_items, size=min(cfg.candidates_per_request, cfg.n_items), replace=False)
     bids = np.exp(rng.normal(0.0, cfg.bid_sigma, size=candidates.size))
 
-    if policy == ORACLE_POLICY:
-        rel = np.array([relevance_probability(world, user, query, int(i)) for i in candidates])
-        order = np.argsort(-rel, kind="stable")
-    elif policy == RANDOM_POLICY:
-        order = rng.permutation(candidates.size)
-    else:
-        raise UsageError(f"unknown ranking policy {policy!r}")
+    rel = np.array([relevance_probability(world, user, query, int(i)) for i in candidates])
+    order = np.argsort(-rel, kind="stable")
 
     k_eff = min(cfg.max_position, candidates.size)
     top = order[:k_eff]
@@ -212,29 +208,17 @@ def _simulate_request(
         )
         impressions.append(imp)
         if click:
-            behaviors.append(
-                RawBehavior(
-                    user_id=imp.user_id,
-                    ts=ts,
-                    position=slot,
-                    item_id=imp.item_id,
-                    category=imp.category,
-                    query=imp.query,
-                    geo=imp.geo,
-                    hour=imp.hour,
-                    dow=imp.dow,
-                )
-            )
+            behaviors.append(RawBehavior(*[getattr(imp, name) for name in BEHAVIOR_COLUMNS]))
     return impressions, behaviors
 
 
 def simulate_traffic(
     world: SyntheticWorld,
-    policy: str = ORACLE_POLICY,
     workers: int = 1,
 ) -> tuple[list[RawImpression], list[RawBehavior]]:
     """Run the full request timeline; returns (impression log, click history).
 
+    Each request displays its `max_position` most relevant candidates.
     Requests run in index order in this process. `workers` is kept for
     callers that pass ``workers=1``; any other value raises UsageError.
     """
@@ -244,7 +228,7 @@ def simulate_traffic(
     impressions: list[RawImpression] = []
     behaviors: list[RawBehavior] = []
     for idx in range(cfg.days * cfg.requests_per_day):
-        imps, behs = _simulate_request(world, idx, policy)
+        imps, behs = _simulate_request(world, idx)
         impressions.extend(imps)
         behaviors.extend(behs)
     return impressions, behaviors

@@ -304,20 +304,10 @@ class TestGradientCheck:
 
 
 class TestOptimizer:
-    def test_sgd_definition(self):
-        p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-        Optimizer(kind=ad.SGD, lr=0.1).step(p, {"w": np.array([2.0])})
-        np.testing.assert_allclose(p["w"].data, [0.8])
-
-    def test_zero_gradient_is_a_noop_for_sgd(self):
-        p = {"w": Tensor(np.array([3.0, -1.0]), requires_grad=True)}
-        Optimizer(kind=ad.SGD, lr=0.5).step(p, {"w": np.zeros(2)})
-        np.testing.assert_array_equal(p["w"].data, [3.0, -1.0])
-
     def test_adam_first_step_magnitude_is_lr(self):
         for c in [0.01, 1.0, 250.0]:
             p = {"w": Tensor(np.array([0.0]), requires_grad=True)}
-            opt = Optimizer(kind=ad.ADAM, lr=1e-3)
+            opt = Optimizer(lr=1e-3)
             opt.step(p, {"w": np.array([c])})
             assert p["w"].data[0] == pytest.approx(-1e-3, rel=1e-3)
 
@@ -326,7 +316,7 @@ class TestOptimizer:
             "a": Tensor(np.array([1.0]), requires_grad=True),
             "b": Tensor(np.array([2.0]), requires_grad=True),
         }
-        opt = Optimizer(kind=ad.SGD, lr=0.1)
+        opt = Optimizer(lr=0.1)
         with pytest.raises(NumericError):
             opt.step(p, {"a": np.array([1.0]), "b": np.array([np.nan])})
         np.testing.assert_array_equal(p["a"].data, [1.0])
@@ -335,7 +325,7 @@ class TestOptimizer:
 
     def test_gradient_for_unknown_name_rejected(self):
         p = {"w": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-        opt = Optimizer(kind=ad.ADAM, lr=0.1)
+        opt = Optimizer(lr=0.1)
         with pytest.raises(UsageError, match="'v'"):
             opt.step(p, {"w": np.array([1.0, 1.0]), "v": np.array([1.0])})
         np.testing.assert_array_equal(p["w"].data, [1.0, 2.0])
@@ -347,14 +337,13 @@ class TestOptimizer:
         with pytest.raises(NumericError, match="'b'"):
             Optimizer().step(p, grads)
 
-    @pytest.mark.parametrize("kind", [ad.ADAM, ad.SGD])
-    def test_flat_step_equals_per_tensor_reference(self, kind):
+    def test_flat_step_equals_per_tensor_reference(self):
         rng = np.random.default_rng(14)
         shapes = {"s": (), "v": (5,), "m": (3, 4), "t": (2, 3, 2)}
         init = {n: rng.normal(size=shape) for n, shape in shapes.items()}
         flat = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
         ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
-        opt, ref_opt = Optimizer(kind=kind, lr=0.01), _ReferenceOptimizer(kind=kind, lr=0.01)
+        opt, ref_opt = Optimizer(lr=0.01), _ReferenceOptimizer(lr=0.01)
         # steps 3 and 4 drop a name, step 5 brings it back, step 6 drops another
         missing = {3: {"v"}, 4: {"v", "s"}, 6: {"t"}}
         for step in range(1, 7):
@@ -374,8 +363,8 @@ class TestOptimizer:
 class _ReferenceOptimizer:
     """The per-tensor update loop the flat `Optimizer` must reproduce bit for bit."""
 
-    def __init__(self, kind, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.kind, self.lr, self.beta1, self.beta2, self.eps = kind, lr, beta1, beta2, eps
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -385,9 +374,6 @@ class _ReferenceOptimizer:
         for name, p in params.items():
             g = grads.get(name)
             if g is None:
-                continue
-            if self.kind == ad.SGD:
-                p.data -= self.lr * g
                 continue
             m = self._m.setdefault(name, np.zeros_like(p.data))
             v = self._v.setdefault(name, np.zeros_like(p.data))

@@ -62,16 +62,10 @@ class TestVocabulary:
         assert vocab.encode("query", "known") == 1
         assert vocab.encode("query", "never-seen") == 0
 
-    def test_min_count_filters(self):
-        rows = [_imp(item_id="rare"), _imp(item_id="common"), _imp(item_id="common")]
-        vocab = Vocabulary.build(rows, min_count=2)
-        assert vocab.encode("item_id", "common") == 1
-        assert vocab.encode("item_id", "rare") == 0
-
     def test_decode_outside_the_assigned_ids_is_none(self):
-        rows = [_imp(item_id="rare"), _imp(item_id="common"), _imp(item_id="common")]
-        vocab = Vocabulary.build(rows, min_count=2)
-        assert vocab.decode("item_id", 1) == "common"
+        rows = [_imp(item_id="first"), _imp(item_id="second"), _imp(item_id="first")]
+        vocab = Vocabulary.build(rows)
+        assert vocab.decode("item_id", 1) == "first" and vocab.decode("item_id", 2) == "second"
         for idx in (0, -1, -2, vocab.size("item_id"), vocab.size("item_id") + 5):
             assert vocab.decode("item_id", idx) is None
         with pytest.raises(UsageError, match="unknown vocabulary field"):
@@ -187,6 +181,26 @@ class TestFileRoundTrip:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=":3"):
             read_impressions(path)
+
+    @pytest.mark.parametrize("column, value", [("day", "x"), ("bid", "cheap"), ("click", "1.5")])
+    def test_bad_value_names_the_line(self, tmp_path, column, value):
+        path = tmp_path / "bad_value.tsv"
+        write_impressions(path, [_imp(), _imp()])
+        lines = path.read_text().splitlines()
+        cells = lines[2].split("\t")
+        cells[IMPRESSION_COLUMNS.index(column)] = value
+        lines[2] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"bad_value\.tsv:3"):
+            read_impressions(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "behaviors.tsv"
+        row = RawBehavior("u1", 5, 2, "iA", "c1", "q1", "g1", "12", "3")
+        write_behaviors(path, [row, row])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", lines[1], "  ", lines[2], ""]) + "\n", encoding="utf-8")
+        assert read_behaviors(path) == [row, row]
 
 
 class TestTimeBucket:

@@ -57,6 +57,15 @@ class TestBuildModel:
         with pytest.raises(UsageError):
             build_model(tiny_config(d_model=9, heads=2), "DPIN", seed=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(embed_dim=0), dict(d_model=0), dict(max_len=0), dict(max_position=0), dict(blocks=-1)],
+        ids=["embed_dim", "d_model", "max_len", "max_position", "blocks"],
+    )
+    def test_sizes_below_their_minimum_rejected(self, overrides):
+        with pytest.raises(UsageError, match=">= 1"):
+            tiny_config(**overrides).validate()
+
     def test_unknown_variant_lists_valid_tags(self):
         with pytest.raises(UsageError) as err:
             build_model(tiny_config(), "DeepFM", seed=0)
@@ -603,8 +612,9 @@ class TestCheckpoints:
             lambda text: text.replace(b"variant=DPIN", b"variant=\xff\xfe"),
             lambda text: text.replace(b"variant=DPIN", b"variant=DeepFM"),
             lambda text: text.replace(b"heads=2", b"heads=0"),
+            lambda text: text.replace(b"d_model=8", b"d_model=0"),
         ],
-        ids=["non-integer", "non-utf8", "unknown-variant", "zero-heads"],
+        ids=["non-integer", "non-utf8", "unknown-variant", "zero-heads", "zero-d_model"],
     )
     def test_corrupt_config_is_a_format_error(self, tmp_path, config_edit):
         path = tmp_path / "model.ckpt"
@@ -625,6 +635,19 @@ class TestCheckpoints:
         struct.pack_into("<I", blob, 16 + cfg_len + name_len, 200)  # the first tensor's rank
         path.write_bytes(_reseal(bytes(blob)))
         with pytest.raises(FormatError, match="shape"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_record_is_a_format_error(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, build_model(cfg, "DIN", seed=23))
+        blob = path.read_bytes()
+        name = b"base.b0"
+        start = blob.index(struct.pack("<I", len(name)) + name)
+        # name length, name, rank, one dim, then the values
+        end = start + 4 + len(name) + 4 + 8 + 8 * cfg.mlp_hidden[0]
+        path.write_bytes(_reseal(blob[:end] + blob[start:end] + blob[end:]))
+        with pytest.raises(FormatError, match="'base.b0'"):
             load_checkpoint(path)
 
     def test_flipped_value_byte_fails_the_checksum(self, tmp_path):

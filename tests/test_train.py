@@ -80,8 +80,8 @@ class TestTrainLoop:
         requests = _toy_requests(cfg, 4)
         # lr large enough to overflow activations to inf, so the next
         # normalization computes inf - inf and the loss goes NaN
-        tc = TrainConfig(batch_size=6, epochs=4, learning_rate=1e200, optimizer="sgd", seed=3, eval_every=0)
-        with pytest.raises(NumericError, match="batch"):
+        tc = TrainConfig(batch_size=6, epochs=4, learning_rate=1e200, seed=3, eval_every=0)
+        with pytest.raises(NumericError, match="epoch 1, batch 1"):
             with np.errstate(all="ignore"):
                 train(requests, cfg, "DPIN", tc)
 
@@ -101,14 +101,6 @@ class TestTrainLoop:
         params, history = train(train_reqs, cfg, "DPIN", tc, val_requests=val_reqs)
         achieved = evaluate(params, val_reqs).pauc
         assert achieved == pytest.approx(np.nanmax(history.val_pauc), abs=1e-12)
-
-    def test_patience_stops_early(self):
-        cfg = tiny_config()
-        train_reqs = _toy_requests(cfg, 6)
-        val_reqs = _toy_requests(cfg, 6, seed0=70)
-        tc = TrainConfig(batch_size=6, epochs=50, seed=5, eval_every=1, patience=2)
-        _, history = train(train_reqs, cfg, "DPIN", tc, val_requests=val_reqs)
-        assert len(history.epochs) < 50
 
     def test_best_epoch_is_the_returned_one(self):
         cfg = tiny_config()

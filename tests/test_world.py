@@ -53,6 +53,21 @@ class TestGenerateWorld:
         with pytest.raises(UsageError):
             generate_world(_tiny(examination_mode="cascade"), seed=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(etas=(-1.0, 0.3)),
+            dict(etas=(1.2, float("nan"))),
+            dict(etas=(float("inf"),)),
+            dict(bid_sigma=-1.0),
+            dict(bid_sigma=float("nan")),
+        ],
+        ids=["negative-eta", "nan-eta", "inf-eta", "negative-bid_sigma", "nan-bid_sigma"],
+    )
+    def test_bad_decay_or_bid_spread_rejected(self, overrides):
+        with pytest.raises(UsageError, match="exponents|bid_sigma"):
+            generate_world(_tiny(**overrides), seed=0)
+
 
 class TestRelevance:
     def test_zero_factors_give_half(self):
