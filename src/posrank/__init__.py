@@ -48,8 +48,6 @@ from .serving import (
 )
 from .train import TrainConfig, TrainHistory, evaluate, train
 from .world import (
-    SEPARABLE,
-    USER_DEPENDENT,
     SimConfig,
     SyntheticWorld,
     examination_probability,

@@ -204,10 +204,14 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) on a numpy array, split by sign for stability at large |x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # split by sign for stability at large |x|
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = logistic(a.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)

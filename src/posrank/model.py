@@ -174,9 +174,6 @@ class ParameterSet:
     def names(self) -> list[str]:
         return sorted(self.tensors)
 
-    def total_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
     def zero_grads(self) -> None:
         for name in self.names():
             self.tensors[name].grad = None
@@ -653,19 +650,23 @@ def _config_from_text(text: str) -> tuple[ModelConfig, str]:
     kv: dict[str, str] = {}
     for line in text.strip().splitlines():
         key, _, value = line.partition("=")
+        if key in kv:
+            raise FormatError(f"checkpoint config repeats key {key!r}")
         kv[key] = value
     types = get_type_hints(ModelConfig)
     try:
-        variant = kv["variant"]
+        variant = kv.pop("variant")
         values = {}
         for f in fields(ModelConfig):
             kind = get_origin(types[f.name])
             if kind is dict:
-                values[f.name] = {v: int(kv[f"vocab.{v}"]) for v in VOCAB_FIELDS}
+                values[f.name] = {v: int(kv.pop(f"vocab.{v}")) for v in VOCAB_FIELDS}
             elif kind is tuple:
-                values[f.name] = tuple(int(x) for x in kv[f.name].split(","))
+                values[f.name] = tuple(int(x) for x in kv.pop(f.name).split(","))
             else:
-                values[f.name] = int(kv[f.name])
+                values[f.name] = int(kv.pop(f.name))
+        if kv:
+            raise FormatError(f"checkpoint config has unknown keys {sorted(kv)}")
         config = ModelConfig(**values)
     except KeyError as exc:
         raise FormatError(f"checkpoint config is missing key {exc}") from exc

@@ -3,9 +3,11 @@
 Clicks follow examined-times-relevant ground truth: the probability that a
 displayed item is clicked is the product of an examination probability
 (how likely the user looks at slot k) and a relevance probability (how
-well the item matches user and query). Examination decays as k**(-eta);
-in `user-dependent` mode each user segment has its own decay exponent,
-which makes position bias inseparable from the user.
+well the item matches user and query). Examination decays as k**(-eta),
+with one exponent per user segment, held as a [segments, max_position]
+table. One exponent makes position bias separable; with several, users
+are split evenly between segments and position bias is inseparable from
+the user.
 
 A configurable share of requests is top-k randomized: the chosen slate is
 shuffled before display, which breaks the selection bias of the logging
@@ -15,15 +17,14 @@ evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
+from .autodiff import logistic
 from .data import BEHAVIOR_COLUMNS, RawBehavior, RawImpression
 from .errors import UsageError
-
-SEPARABLE = "separable"
-USER_DEPENDENT = "user-dependent"
 
 SECONDS_PER_DAY = 86400
 
@@ -42,8 +43,7 @@ class SimConfig:
     days: int = 5
     randomized_fraction: float = 0.05
     candidates_per_request: int = 20
-    examination_mode: str = USER_DEPENDENT
-    # decay exponent per segment; separable mode uses only the first entry
+    # examination decay exponent per user segment; one exponent is separable
     etas: tuple[float, ...] = (1.2, 0.3)
     base_offset: float = -1.0
     bid_sigma: float = 0.3
@@ -55,8 +55,6 @@ class SimConfig:
             raise UsageError(f"randomized_fraction must be in [0,1], got {self.randomized_fraction}")
         if self.candidates_per_request < 1:
             raise UsageError("candidates_per_request must be >= 1")
-        if self.examination_mode not in (SEPARABLE, USER_DEPENDENT):
-            raise UsageError(f"unknown examination mode {self.examination_mode!r}")
         if not self.etas:
             raise UsageError("at least one examination decay exponent is required")
         if not all(np.isfinite(eta) and eta >= 0 for eta in self.etas):
@@ -69,19 +67,16 @@ class SimConfig:
 
 @dataclass
 class SyntheticWorld:
-    """Latent factors plus examination parameters; fully determined by seed."""
+    """Latent factors plus the examination table; fully determined by seed."""
 
     config: SimConfig
     seed: int
     user_factors: np.ndarray  # [n_users, 8]
     item_factors: np.ndarray  # [n_items, 8]
     query_affinity: np.ndarray  # [n_queries, 8]
-    user_segments: np.ndarray  # [n_users] int, half 0 half 1
-    item_categories: np.ndarray = field(default=None)  # [n_items] int
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.config.etas)
+    user_segments: np.ndarray  # [n_users] int in [0, len(etas))
+    item_categories: np.ndarray  # [n_items] int
+    examination: np.ndarray  # [len(etas), max_position]: k ** -eta at column k - 1
 
 
 FACTOR_DIM = 8
@@ -95,11 +90,12 @@ def generate_world(config: SimConfig, seed: int) -> SyntheticWorld:
     user_factors = rng.normal(0.0, scale, size=(config.n_users, FACTOR_DIM))
     item_factors = rng.normal(0.0, scale, size=(config.n_items, FACTOR_DIM))
     query_affinity = rng.normal(0.0, scale, size=(config.n_queries, FACTOR_DIM))
-    if config.examination_mode == USER_DEPENDENT and len(config.etas) > 1:
-        segments = rng.permutation(np.arange(config.n_users) % len(config.etas))
-    else:
-        segments = np.zeros(config.n_users, dtype=np.int64)
+    segments = rng.permutation(np.arange(config.n_users) % len(config.etas))
     categories = np.arange(config.n_items) % config.n_categories
+    # Python's float power, not numpy's, which differs in the last bit
+    examination = np.array(
+        [[float(k ** -eta) for k in range(1, config.max_position + 1)] for eta in config.etas]
+    )
     return SyntheticWorld(
         config=config,
         seed=seed,
@@ -108,58 +104,60 @@ def generate_world(config: SimConfig, seed: int) -> SyntheticWorld:
         query_affinity=query_affinity,
         user_segments=segments,
         item_categories=categories,
+        examination=examination,
     )
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return float(e / (1.0 + e))
-
-
-def relevance_probability(world: SyntheticWorld, user: int, query: int, item: int) -> float:
-    """P(item is relevant | user, query); independent of position."""
+def relevance_probability(
+    world: SyntheticWorld, user: int, query: int, items: int | np.ndarray
+) -> float | np.ndarray:
+    """P(item is relevant | user, query) for each of `items`; independent of position."""
+    factors = world.item_factors[np.asarray(items)][..., None, :]
+    # one dot product per item ([1, 8] @ [8, 1]), which keeps the bits of
+    # scoring each item alone; a matrix-vector product does not
     logit = (
-        world.user_factors[user] @ world.item_factors[item]
-        + world.query_affinity[query] @ world.item_factors[item]
+        np.matmul(factors, world.user_factors[user][:, None])
+        + np.matmul(factors, world.query_affinity[query][:, None])
         + world.config.base_offset
     )
-    return _sigmoid(float(logit))
+    return logistic(logit[..., 0, 0])[()]
 
 
-def examination_probability(world: SyntheticWorld, position: int, segment: int = 0) -> float:
-    """P(slot `position` is looked at): position ** (-eta_of_segment)."""
-    if not 1 <= position <= world.config.max_position:
-        raise UsageError(f"position {position} outside [1, {world.config.max_position}]")
-    if world.config.examination_mode == SEPARABLE:
-        eta = world.config.etas[0]
-    else:
-        eta = world.config.etas[segment]
-    return float(position ** (-eta))
+def examination_probability(
+    world: SyntheticWorld, positions: int | np.ndarray, segment: int = 0
+) -> float | np.ndarray:
+    """P(slot k is looked at) for each k of `positions`: k ** (-eta of `segment`)."""
+    n_segments, max_position = world.examination.shape
+    if not 0 <= segment < n_segments:
+        raise UsageError(f"segment {segment} outside [0, {n_segments})")
+    k = np.asarray(positions)
+    if not np.issubdtype(k.dtype, np.integer):
+        raise UsageError(f"positions must be integers, got {k.dtype}")
+    if k.size and not (k.min() >= 1 and k.max() <= max_position):
+        raise UsageError(f"positions outside [1, {max_position}]")
+    return world.examination[segment, k - 1]
 
 
-def oracle_ctr(world: SyntheticWorld, user: int, query: int, item: int, position: int) -> float:
-    """Ground-truth click probability: examination times relevance."""
+def oracle_ctr(
+    world: SyntheticWorld, user: int, query: int, items: int | np.ndarray, positions: int | np.ndarray
+) -> float | np.ndarray:
+    """Ground-truth click probability: examination times relevance.
+
+    `items` and `positions` broadcast against each other: pass
+    ``items[:, None]`` and ``positions[None, :]`` for a [J, K] matrix.
+    """
     segment = int(world.user_segments[user])
-    return examination_probability(world, position, segment) * relevance_probability(
-        world, user, query, item
+    return examination_probability(world, positions, segment) * relevance_probability(
+        world, user, query, items
     )
 
 
 # -- traffic simulation -------------------------------------------------------
 
 
-def _request_rng(world_seed: int, request_index: int) -> np.random.Generator:
-    # one independent, reproducible stream per request
-    return np.random.default_rng([world_seed, request_index])
-
-
-def _simulate_request(
-    world: SyntheticWorld, request_index: int
-) -> tuple[list[RawImpression], list[RawBehavior]]:
+def _simulate_request(world: SyntheticWorld, request_index: int) -> Iterator[RawImpression]:
     cfg = world.config
-    rng = _request_rng(world.seed, request_index)
+    rng = np.random.default_rng([world.seed, request_index])  # one reproducible stream per request
     day = request_index // cfg.requests_per_day
     within = request_index % cfg.requests_per_day
     ts = day * SECONDS_PER_DAY + (within * SECONDS_PER_DAY) // cfg.requests_per_day
@@ -172,7 +170,7 @@ def _simulate_request(
     candidates = rng.choice(cfg.n_items, size=min(cfg.candidates_per_request, cfg.n_items), replace=False)
     bids = np.exp(rng.normal(0.0, cfg.bid_sigma, size=candidates.size))
 
-    rel = np.array([relevance_probability(world, user, query, int(i)) for i in candidates])
+    rel = relevance_probability(world, user, query, candidates)
     order = np.argsort(-rel, kind="stable")
 
     k_eff = min(cfg.max_position, candidates.size)
@@ -181,15 +179,12 @@ def _simulate_request(
     if randomized:
         top = top[rng.permutation(k_eff)]
 
-    impressions: list[RawImpression] = []
-    behaviors: list[RawBehavior] = []
     traffic = "randomized" if randomized else "regular"
     segment = int(world.user_segments[user])
-    for slot, cand_idx in enumerate(top, start=1):
+    clicks = rng.random(k_eff) < world.examination[segment, :k_eff] * rel[top]
+    for slot, (cand_idx, click) in enumerate(zip(top.tolist(), clicks.tolist()), start=1):
         item = int(candidates[cand_idx])
-        p_click = oracle_ctr(world, user, query, item, slot)
-        click = int(rng.random() < p_click)
-        imp = RawImpression(
+        yield RawImpression(
             request_id=f"r{request_index:08d}",
             day=day,
             traffic=traffic,
@@ -203,13 +198,9 @@ def _simulate_request(
             category=f"c{int(world.item_categories[item])}",
             position=slot,
             bid=float(bids[cand_idx]),
-            click=click,
+            click=int(click),
             ts=ts,
         )
-        impressions.append(imp)
-        if click:
-            behaviors.append(RawBehavior(*[getattr(imp, name) for name in BEHAVIOR_COLUMNS]))
-    return impressions, behaviors
 
 
 def simulate_traffic(
@@ -224,23 +215,18 @@ def simulate_traffic(
     """
     if workers != 1:
         raise UsageError(f"simulate_traffic runs in one process; workers must be 1, got {workers!r}")
-    cfg = world.config
-    impressions: list[RawImpression] = []
-    behaviors: list[RawBehavior] = []
-    for idx in range(cfg.days * cfg.requests_per_day):
-        imps, behs = _simulate_request(world, idx)
-        impressions.extend(imps)
-        behaviors.extend(behs)
+    n_requests = world.config.days * world.config.requests_per_day
+    impressions = [imp for idx in range(n_requests) for imp in _simulate_request(world, idx)]
+    clicked = (imp for imp in impressions if imp.click)
+    behaviors = [RawBehavior(*[getattr(imp, name) for name in BEHAVIOR_COLUMNS]) for imp in clicked]
     return impressions, behaviors
 
 
 def separable_config(**overrides) -> SimConfig:
     """A world where examination depends on position only."""
-    base = SimConfig(examination_mode=SEPARABLE, etas=(1.0,))
-    return replace(base, **overrides)
+    return replace(SimConfig(etas=(1.0,)), **overrides)
 
 
 def user_dependent_config(**overrides) -> SimConfig:
     """A world where shallow browsers (eta 1.2) and deep browsers (eta 0.3) mix."""
-    base = SimConfig(examination_mode=USER_DEPENDENT, etas=(1.2, 0.3))
-    return replace(base, **overrides)
+    return replace(SimConfig(etas=(1.2, 0.3)), **overrides)

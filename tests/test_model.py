@@ -97,7 +97,7 @@ class TestBuildModel:
         per_block = 2 * 3 * dm * (dm // 2) + dm * dm + 2 * dm + dm * 4 * dm + 4 * dm + 4 * dm * dm + dm + 2 * dm
         comb = 56 * 16 + 16 + 16 * 1 + 1
         expected = embed + base + att + inter + 2 * per_block + comb
-        assert params.total_parameters() == expected
+        assert sum(t.data.size for t in params.tensors.values()) == expected
 
 
 class TestBaseModule:
@@ -613,8 +613,13 @@ class TestCheckpoints:
             lambda text: text.replace(b"variant=DPIN", b"variant=DeepFM"),
             lambda text: text.replace(b"heads=2", b"heads=0"),
             lambda text: text.replace(b"d_model=8", b"d_model=0"),
+            lambda text: text + b"heads=4\n",
+            lambda text: text + b"max_lenn=9\n",
         ],
-        ids=["non-integer", "non-utf8", "unknown-variant", "zero-heads", "zero-d_model"],
+        ids=[
+            "non-integer", "non-utf8", "unknown-variant", "zero-heads", "zero-d_model",
+            "repeated-key", "unknown-key",
+        ],
     )
     def test_corrupt_config_is_a_format_error(self, tmp_path, config_edit):
         path = tmp_path / "model.ckpt"

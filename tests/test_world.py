@@ -5,8 +5,6 @@ import pytest
 
 from posrank.errors import UsageError
 from posrank.world import (
-    SEPARABLE,
-    USER_DEPENDENT,
     SimConfig,
     examination_probability,
     generate_world,
@@ -50,8 +48,6 @@ class TestGenerateWorld:
     def test_config_validation(self):
         with pytest.raises(UsageError):
             generate_world(_tiny(randomized_fraction=1.5), seed=0)
-        with pytest.raises(UsageError):
-            generate_world(_tiny(examination_mode="cascade"), seed=0)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -118,11 +114,21 @@ class TestExamination:
             assert all(a >= b for a, b in zip(curve, curve[1:]))
 
     def test_position_bounds(self):
-        world = generate_world(_tiny(), seed=0)
-        with pytest.raises(UsageError):
-            examination_probability(world, 0)
-        with pytest.raises(UsageError):
-            examination_probability(world, 99)
+        world = generate_world(_tiny(), seed=0)  # K = 4, two exponents
+        out_of_range = (0, 99, np.array([1, 0, 2]), np.array([[1, 2], [4, 5]]), np.array([1.0, 2.0]))
+        for positions in out_of_range:
+            with pytest.raises(UsageError, match="positions"):
+                examination_probability(world, positions)
+            with pytest.raises(UsageError, match="positions"):
+                oracle_ctr(world, 0, 0, np.arange(3)[:, None], positions)
+        for segment in (2, -1):
+            with pytest.raises(UsageError, match="segment"):
+                examination_probability(world, np.arange(1, 5), segment)
+
+    def test_one_exponent_puts_every_user_in_segment_zero(self):
+        world = generate_world(separable_config(), seed=0)
+        assert world.examination.shape == (1, 10)
+        assert not world.user_segments.any()
 
 
 class TestFactorization:
@@ -137,6 +143,34 @@ class TestFactorization:
             seg = int(world.user_segments[u])
             expected = examination_probability(world, k, seg) * relevance_probability(world, u, q, i)
             assert oracle_ctr(world, u, q, i, k) == expected
+
+    @pytest.mark.parametrize("config", [separable_config, user_dependent_config])
+    def test_array_grid_is_the_definitional_product(self, config):
+        cfg = config(n_users=6, n_queries=3, n_items=20)
+        world = generate_world(cfg, seed=4)
+        k_max = cfg.max_position
+        relevance = np.empty((cfg.n_users, cfg.n_queries, cfg.n_items))
+        expected = np.empty((cfg.n_users, cfg.n_queries, cfg.n_items, k_max))
+        for u in range(cfg.n_users):
+            eta = cfg.etas[world.user_segments[u]]
+            for q in range(cfg.n_queries):
+                for i in range(cfg.n_items):
+                    item = world.item_factors[i]
+                    x = world.user_factors[u] @ item + world.query_affinity[q] @ item + cfg.base_offset
+                    rel = 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
+                    relevance[u, q, i] = rel
+                    for k in range(1, k_max + 1):
+                        expected[u, q, i, k - 1] = float(k ** -eta) * rel
+        items = np.arange(cfg.n_items)
+        positions = np.arange(1, k_max + 1)
+        users, queries = range(cfg.n_users), range(cfg.n_queries)
+        flat = np.array([[relevance_probability(world, u, q, items) for q in queries] for u in users])
+        grid = np.array([
+            [oracle_ctr(world, u, q, items[:, None], positions[None, :]) for q in queries]
+            for u in users
+        ])
+        assert flat.tobytes() == relevance.tobytes()
+        assert grid.tobytes() == expected.tobytes()
 
     def test_position_ratio_ignores_user_and_item_when_separable(self):
         world = generate_world(separable_config(n_users=5, n_items=6, n_queries=2), seed=1)
@@ -186,7 +220,7 @@ class TestSimulation:
     def test_uniform_world_click_rate(self):
         # examination forced to 1 (eta=0), relevance forced to 0.5
         cfg = _tiny(
-            examination_mode=SEPARABLE, etas=(0.0,), base_offset=0.0,
+            etas=(0.0,), base_offset=0.0,
             requests_per_day=5000, days=2, max_position=10,
             candidates_per_request=12, n_items=50,
         )
@@ -204,7 +238,7 @@ class TestSimulation:
 
     def test_randomized_traffic_recovers_decay(self):
         cfg = _tiny(
-            examination_mode=SEPARABLE, etas=(1.0,), base_offset=0.0,
+            etas=(1.0,), base_offset=0.0,
             randomized_fraction=1.0, requests_per_day=5000, days=2,
             max_position=10, candidates_per_request=12, n_items=50,
         )
