@@ -194,7 +194,10 @@ class PositionBehaviorSequences:
     rows for position k, each most recent first and at most `max_len` long;
     `flat` holds the most recent `max_len` clicks regardless of position. Rows
     are in `HISTORY_COLUMNS` order. Clicks at or after `reference_ts` never
-    enter (leakage guard); how many were dropped is kept for diagnostics.
+    enter (leakage guard). `leaked` counts them: every click of the user at
+    or after this request, not only this request's own, so a sum of `leaked`
+    over requests counts a click once for each request of its user at or
+    before it (69,752 against 4,097 clicks in the benchmark world at seed 5).
     """
 
     records: np.ndarray  # [R, 7]

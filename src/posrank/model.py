@@ -27,6 +27,11 @@ request's flat history against its J item queries, DPIN each position
 sequence against the request context, and `DPIN+ItemAction` each position
 sequence against J (context, item) queries - J queries per sequence, not J
 copies of the history.
+
+Tensor names say a parameter's role, not its variant. Affine layer `name`
+owns weight `name.w` and bias `name.b`: `base.{i}`, the one attention's
+`att.hidden` and `att.score`, `inter`, `tf{b}.ff1`/`tf{b}.ff2`, `comb.1`/
+`comb.2` and the logit `head`; the wide or PAL slot table is `head.position`.
 """
 
 from __future__ import annotations
@@ -56,8 +61,6 @@ LOGIT = "logit"  # sigmoid(logit): position ignored
 WIDE = "wide"  # sigmoid(logit + w[k]): additive position weight
 PAL = "pal"  # sigmoid(logit) * sigmoid(s[k]): PAL's click x seen factors
 COMBINATION = "combination"  # combination MLP over (item, position) pairs
-
-_POSITION_TABLES = {WIDE: "wide.position", PAL: "pal.seen"}
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def variant_spec(variant: str) -> VariantSpec:
 
 
 CHECKPOINT_MAGIC = b"DPIN"
-CHECKPOINT_VERSION = 3  # 2: a CRC-32 closes the file; 3: one [d_model, d_model] wq/wk/wv per block
+CHECKPOINT_VERSION = 4  # 2: a closing CRC-32; 3: one wq/wk/wv per block; 4: one tensor name per role
 
 
 @dataclass(frozen=True)
@@ -186,69 +189,53 @@ class ParameterSet:
         return ParameterSet(config=self.config, variant=self.variant, tensors=clone)
 
 
-def _param_specs(config: ModelConfig, variant: str) -> list[tuple[str, str, tuple[int, ...]]]:
-    """(name, init kind, shape) for every tensor of `variant`, in draw order."""
+_Spec = tuple[str, str, tuple[int, ...]]  # (tensor name, init kind, shape)
+
+
+def _dense(name: str, fan_in: int, fan_out: int) -> list[_Spec]:
+    """The affine layer `name`: weight `name.w` [fan_in, fan_out], bias `name.b`."""
+    return [(f"{name}.w", "weight", (fan_in, fan_out)), (f"{name}.b", "zero", (fan_out,))]
+
+
+def _param_specs(config: ModelConfig, variant: str) -> list[_Spec]:
+    """Every tensor of `variant`, in draw order."""
     d = config.embed_dim
     dm = config.d_model
-    specs: list[tuple[str, str, tuple[int, ...]]] = []
-
-    for f in VOCAB_FIELDS:
-        specs.append((f"embed.{f}", "embed", (config.vocab_sizes[f], d)))
-    specs.append(("embed.position", "embed", (config.max_position + 1, d)))
-    specs.append(("embed.time_bucket", "embed", (TIME_BUCKETS, d)))
+    specs = [(f"embed.{f}", "embed", (config.vocab_sizes[f], d)) for f in VOCAB_FIELDS]
+    specs += [("embed.position", "embed", (config.max_position + 1, d))]
+    specs += [("embed.time_bucket", "embed", (TIME_BUCKETS, d))]
 
     fan_in = config.user_dim + config.context_dim + config.item_dim
     for i, width in enumerate(config.mlp_hidden):
-        specs.append((f"base.w{i}", "weight", (fan_in, width)))
-        specs.append((f"base.b{i}", "zero", (width,)))
+        specs += _dense(f"base.{i}", fan_in, width)
         fan_in = width
 
     spec = variant_spec(variant)
+    # a history record is attended against its item (DIN), the request context, or both
+    query_dim = config.item_dim if spec.history == FLAT_HISTORY else config.context_dim
+    if spec.history == PER_CANDIDATE:
+        query_dim += config.item_dim
+    specs += _dense("att.hidden", config.behavior_dim + query_dim, dm) + _dense("att.score", dm, 1)
     if spec.history == FLAT_HISTORY:
-        att_in = config.behavior_dim + config.item_dim
-        specs.append(("flat_att.wa", "weight", (att_in, dm)))
-        specs.append(("flat_att.ba", "zero", (dm,)))
-        specs.append(("flat_att.wb", "weight", (dm, 1)))
-        specs.append(("flat_att.bb", "zero", (1,)))
         item_rep_dim, position_rep_dim = config.din_rep_dim, 0
     else:
-        extra = config.item_dim if spec.history == PER_CANDIDATE else 0
-        att_in = config.behavior_dim + config.context_dim + extra
-        specs.append(("pos_att.wa", "weight", (att_in, dm)))
-        specs.append(("pos_att.ba", "zero", (dm,)))
-        specs.append(("pos_att.wb", "weight", (dm, 1)))
-        specs.append(("pos_att.bb", "zero", (1,)))
-        inter_in = d + config.context_dim + config.behavior_dim + extra
-        specs.append(("inter.wv", "weight", (inter_in, dm)))
-        specs.append(("inter.bv", "zero", (dm,)))
+        specs += _dense("inter", d + config.behavior_dim + query_dim, dm)
         item_rep_dim, position_rep_dim = config.item_rep_dim, dm
 
     if spec.transformer:
         for b in range(config.blocks):
-            specs.append((f"tf{b}.wq", "weight", (dm, dm)))
-            specs.append((f"tf{b}.wk", "weight", (dm, dm)))
-            specs.append((f"tf{b}.wv", "weight", (dm, dm)))
-            specs.append((f"tf{b}.wo", "weight", (dm, dm)))
-            specs.append((f"tf{b}.ln1.gain", "one", (dm,)))
-            specs.append((f"tf{b}.ln1.bias", "zero", (dm,)))
-            specs.append((f"tf{b}.ff.w1", "weight", (dm, 4 * dm)))
-            specs.append((f"tf{b}.ff.b1", "zero", (4 * dm,)))
-            specs.append((f"tf{b}.ff.w2", "weight", (4 * dm, dm)))
-            specs.append((f"tf{b}.ff.b2", "zero", (dm,)))
-            specs.append((f"tf{b}.ln2.gain", "one", (dm,)))
-            specs.append((f"tf{b}.ln2.bias", "zero", (dm,)))
+            specs += [(f"tf{b}.{w}", "weight", (dm, dm)) for w in ("wq", "wk", "wv", "wo")]
+            specs += [(f"tf{b}.ln1.gain", "one", (dm,)), (f"tf{b}.ln1.bias", "zero", (dm,))]
+            specs += _dense(f"tf{b}.ff1", dm, 4 * dm) + _dense(f"tf{b}.ff2", 4 * dm, dm)
+            specs += [(f"tf{b}.ln2.gain", "one", (dm,)), (f"tf{b}.ln2.bias", "zero", (dm,))]
 
     if spec.head == COMBINATION:
-        comb_in = item_rep_dim + position_rep_dim + d
-        specs.append(("comb.w1", "weight", (comb_in, config.combination_hidden)))
-        specs.append(("comb.b1", "zero", (config.combination_hidden,)))
-        specs.append(("comb.w2", "weight", (config.combination_hidden, 1)))
-        specs.append(("comb.b2", "zero", (1,)))
+        specs += _dense("comb.1", item_rep_dim + position_rep_dim + d, config.combination_hidden)
+        specs += _dense("comb.2", config.combination_hidden, 1)
     else:
-        specs.append(("head.w", "weight", (item_rep_dim, 1)))
-        specs.append(("head.b", "zero", (1,)))
-    if spec.head in _POSITION_TABLES:
-        specs.append((_POSITION_TABLES[spec.head], "zero", (config.max_position + 1, 1)))
+        specs += _dense("head", item_rep_dim, 1)
+    if spec.head in (WIDE, PAL):
+        specs.append(("head.position", "zero", (config.max_position + 1, 1)))
     return specs
 
 
@@ -283,7 +270,6 @@ class PreparedBatch:
     user_ids: np.ndarray  # [B, 2]
     context_ids: np.ndarray  # [B, 4]
     item_ids: np.ndarray  # [B*J, 2], request-major
-    bids: np.ndarray  # [B*J]
     seq_ids: np.ndarray  # [B, K, L, 7] in HISTORY_COLUMNS order
     seq_mask: np.ndarray  # [B, K, L] float 0/1
     flat_ids: np.ndarray  # [B, L, 7]
@@ -348,7 +334,6 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
         item_ids=np.array([c.item_ids for r in requests for c in r.candidates], dtype=np.int64).reshape(
             b * n_items, len(ITEM_FIELDS)
         ),
-        bids=np.array([c.bid for r in requests for c in r.candidates], dtype=np.float64),
         seq_ids=seq_ids,
         seq_mask=seq_kept.astype(np.float64),
         flat_ids=flat_ids,
@@ -361,6 +346,11 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
 # -- forward passes -----------------------------------------------------------
 
 _MASK_OFF = -1e9
+
+
+def _affine(params: ParameterSet, name: str, x: Tensor) -> Tensor:
+    """The affine layer `name`: x @ `name.w` + `name.b`."""
+    return ad.matmul(x, params.tensors[f"{name}.w"]) + params.tensors[f"{name}.b"]
 
 
 def _embed_concat(params: ParameterSet, fields: tuple[str, ...], ids: np.ndarray) -> Tensor:
@@ -387,20 +377,16 @@ def base_module_forward(
     user_ids [B,2], context_ids [B,4], item_ids [B,J,2] -> [B*J, item_rep_dim].
     Row b*J+j depends only on request b's user/context and its item j.
     """
-    user_ids = np.atleast_2d(user_ids)
-    context_ids = np.atleast_2d(context_ids)
-    if item_ids.ndim == 2:
-        item_ids = item_ids[None, :, :]
+    if item_ids.ndim != 3 or not user_ids.shape[0] == context_ids.shape[0] == item_ids.shape[0]:
+        raise UsageError("base_module_forward needs [B, 2], [B, 4] and [B, J, 2] ids")
     b, j = item_ids.shape[0], item_ids.shape[1]
-    if user_ids.shape[0] != b or context_ids.shape[0] != b:
-        raise UsageError("base_module_forward: batch sizes disagree")
     u = _embed_concat(params, USER_FIELDS, user_ids)
     c = _embed_concat(params, CONTEXT_FIELDS, context_ids)
     i = _embed_concat(params, ITEM_FIELDS, item_ids)
     uc = ad.repeat_rows(ad.concat([u, c], axis=1), j)
     x = ad.concat([uc, i], axis=1)
     for li in range(len(params.config.mlp_hidden)):
-        x = ad.relu(ad.matmul(x, params.tensors[f"base.w{li}"]) + params.tensors[f"base.b{li}"])
+        x = ad.relu(_affine(params, f"base.{li}", x))
     return x
 
 
@@ -409,27 +395,26 @@ def interest_aggregation(
     seq_embeddings: Tensor,
     mask: np.ndarray,
     query: Tensor,
-    weight_prefix: str = "pos_att",
 ) -> Tensor:
     """Attention-pool each behavior sequence against each of its queries.
 
     seq_embeddings [N, L, D], mask [N, L] (1 = real record), query [N*M, Q]
     with rows n*M .. n*M+M-1 querying sequence n -> [N*M, D]. A record's
-    attention hidden layer is ReLU([record, query] wa + ba): records and
-    queries are projected once each, through their row blocks of wa (ba
-    rides on the query rows), and meet by broadcasting, so no sequence is
-    copied per query. Padding slots get zero weight; an all-padding
-    sequence pools to zeros.
+    attention logit is `att.score` of ReLU(`att.hidden` of [record, query]):
+    records and queries are projected once each, through their row blocks
+    of `att.hidden.w` (the bias rides on the query rows), and meet by
+    broadcasting, so no sequence is copied per query. Padding slots get
+    zero weight; an all-padding sequence pools to zeros.
     """
     n, seq_len, dim = seq_embeddings.shape
     if query.ndim != 2 or query.shape[0] % n:
         raise UsageError(f"interest_aggregation: {query.shape} queries do not split over {n} sequences")
     m = query.shape[0] // n
-    wa, ba, wb, bb = (params.tensors[f"{weight_prefix}.{w}"] for w in ("wa", "ba", "wb", "bb"))
+    wa, ba = params.tensors["att.hidden.w"], params.tensors["att.hidden.b"]
     record_part = ad.matmul(ad.reshape(seq_embeddings, (n * seq_len, dim)), ad.gather_rows(wa, np.arange(dim)))
     query_part = ad.matmul(query, ad.gather_rows(wa, np.arange(dim, wa.shape[0]))) + ba
     hidden = ad.relu(ad.reshape(record_part, (n, 1, seq_len, -1)) + ad.reshape(query_part, (n, m, 1, -1)))
-    logits = ad.matmul(ad.reshape(hidden, (n * m * seq_len, -1)), wb) + bb
+    logits = _affine(params, "att.score", ad.reshape(hidden, (n * m * seq_len, -1)))
     # padding slots get an additive -1e9 so their softmax weight underflows to 0
     logits = ad.reshape(logits, (n, m, seq_len)) + Tensor((1.0 - mask)[:, None, :] * _MASK_OFF)
     has_any = (mask.sum(axis=1) > 0).astype(np.float64)[:, None, None]
@@ -450,7 +435,7 @@ def position_interaction(
     if item_query is not None:
         parts.append(item_query)
     x = ad.concat(parts, axis=1)
-    return ad.relu(ad.matmul(x, params.tensors["inter.wv"]) + params.tensors["inter.bv"])
+    return ad.relu(_affine(params, "inter", x))
 
 
 def transformer_encode(params: ParameterSet, v: Tensor) -> Tensor:
@@ -485,10 +470,7 @@ def transformer_encode(params: ParameterSet, v: Tensor) -> Tensor:
         merged = ad.transpose(ad.reshape(attended, (b, nh, k, dk)), (0, 2, 1, 3))
         mha = ad.matmul(ad.reshape(merged, (b * k, dm)), params.tensors[f"tf{blk}.wo"])
         x = ad.layer_norm(x + mha, params.tensors[f"tf{blk}.ln1.gain"], params.tensors[f"tf{blk}.ln1.bias"])
-        ff = ad.matmul(
-            ad.relu(ad.matmul(x, params.tensors[f"tf{blk}.ff.w1"]) + params.tensors[f"tf{blk}.ff.b1"]),
-            params.tensors[f"tf{blk}.ff.w2"],
-        ) + params.tensors[f"tf{blk}.ff.b2"]
+        ff = _affine(params, f"tf{blk}.ff2", ad.relu(_affine(params, f"tf{blk}.ff1", x)))
         x = ad.layer_norm(x + ff, params.tensors[f"tf{blk}.ln2.gain"], params.tensors[f"tf{blk}.ln2.bias"])
     return ad.reshape(x, (b, k, dm))
 
@@ -499,12 +481,11 @@ def combination_forward(
     position_rep: Tensor | None,
     position_ids: np.ndarray,
 ) -> Tensor:
-    """Pairwise head: sigmoid(ReLU([item, position, E(k)] W1 + b1) W2 + b2)."""
+    """Pairwise head: sigmoid(`comb.2` of ReLU(`comb.1` of [item, position, E(k)]))."""
     pos_embed = ad.embedding(params.tensors["embed.position"], position_ids.reshape(-1))
     parts = [item_rep] + ([position_rep] if position_rep is not None else []) + [pos_embed]
     x = ad.concat(parts, axis=1)
-    hidden = ad.relu(ad.matmul(x, params.tensors["comb.w1"]) + params.tensors["comb.b1"])
-    out = ad.sigmoid(ad.matmul(hidden, params.tensors["comb.w2"]) + params.tensors["comb.b2"])
+    out = ad.sigmoid(_affine(params, "comb.2", ad.relu(_affine(params, "comb.1", x))))
     return ad.reshape(out, (out.shape[0],))
 
 
@@ -515,12 +496,10 @@ def _din_item_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     """Base output concatenated with item-queried pooling of the flat history."""
     cfg = params.config
     b, j = prep.size, prep.num_items
-    base = base_module_forward(
-        params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1)
-    )
+    base = base_module_forward(params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1))
     item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
     seq_emb = ad.reshape(behavior_embedding(params, prep.flat_ids), (b, cfg.max_len, cfg.behavior_dim))
-    agg = interest_aggregation(params, seq_emb, prep.flat_mask, item_vec, weight_prefix="flat_att")
+    agg = interest_aggregation(params, seq_emb, prep.flat_mask, item_vec)
     return ad.concat([base, agg], axis=1)
 
 
@@ -557,11 +536,6 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     return ad.reshape(encoded, (b * m * k, cfg.d_model))
 
 
-def _position_table_column(params: ParameterSet, name: str, position_ids: np.ndarray) -> Tensor:
-    col = ad.embedding(params.tensors[name], position_ids.reshape(-1))
-    return ad.reshape(col, (position_ids.size,))
-
-
 def score_displayed(
     params: ParameterSet, prep: PreparedBatch, positions: np.ndarray | None = None
 ) -> Tensor:
@@ -588,9 +562,7 @@ def score_displayed(
     if spec.history == FLAT_HISTORY:
         item_rep, position_rep = _din_item_rep(params, prep), None
     else:
-        item_rep = base_module_forward(
-            params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1)
-        )
+        item_rep = base_module_forward(params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1))
         # the block of K position rows each candidate reads: its own, or its request's
         owner = np.arange(b * j) if spec.history == PER_CANDIDATE else np.repeat(np.arange(b), j)
         row_idx = np.repeat(owner, slots) * k + (positions - 1)
@@ -598,14 +570,13 @@ def score_displayed(
 
     if spec.head == COMBINATION:
         return combination_forward(params, ad.repeat_rows(item_rep, slots), position_rep, positions)
-    logit = ad.matmul(item_rep, params.tensors["head.w"]) + params.tensors["head.b"]
-    logit = ad.reshape(ad.repeat_rows(logit, slots), (positions.size,))
+    logit = ad.reshape(ad.repeat_rows(_affine(params, "head", item_rep), slots), (positions.size,))
+    if spec.head == LOGIT:
+        return ad.sigmoid(logit)
+    slot_term = ad.reshape(ad.embedding(params.tensors["head.position"], positions), (positions.size,))
     if spec.head == WIDE:
-        return ad.sigmoid(logit + _position_table_column(params, _POSITION_TABLES[WIDE], positions))
-    p_click = ad.sigmoid(logit)
-    if spec.head == PAL:
-        return p_click * ad.sigmoid(_position_table_column(params, _POSITION_TABLES[PAL], positions))
-    return p_click
+        return ad.sigmoid(logit + slot_term)
+    return ad.sigmoid(logit) * ad.sigmoid(slot_term)  # PAL: click x seen
 
 
 def evaluation_positions(params: ParameterSet, logged: np.ndarray) -> np.ndarray:

@@ -58,7 +58,10 @@ class TrainHistory:
 
     `grad_norms` holds, per epoch, the L2 norm of the gradient of each
     parameter group (a tensor name up to its first `.`) on the epoch's last
-    batch. `best_epoch` is the epoch with the best validation PAUC, whose
+    batch. Every variant's attention is group `att`, and its logit head with
+    the slot table `head.position` is group `head`; these replace the
+    per-variant `flat_att`/`pos_att` and `wide`/`pal` of checkpoint version 3.
+    `best_epoch` is the epoch with the best validation PAUC, whose
     parameters `train` returns; None when no validation pass scored.
     """
 
@@ -91,9 +94,10 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def score_requests(
-    params: ParameterSet, requests: list[Request], batch_requests: int = 64
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+SCORE_BATCH_REQUESTS = 64  # requests per `score_displayed` call when scoring
+
+
+def score_requests(params: ParameterSet, requests: list[Request]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score displayed impressions under the variant's evaluation protocol.
 
     Returns (scores, clicks, logged positions), request-major. PAUC always
@@ -103,8 +107,8 @@ def score_requests(
     clicks: list[np.ndarray] = []
     positions: list[np.ndarray] = []
     with ad.no_grad():
-        for start in range(0, len(requests), batch_requests):
-            chunk = requests[start : start + batch_requests]
+        for start in range(0, len(requests), SCORE_BATCH_REQUESTS):
+            chunk = requests[start : start + SCORE_BATCH_REQUESTS]
             prep = prepare_batch(chunk, params.config)
             if prep.positions is None or prep.clicks is None:
                 raise UsageError("score_requests needs requests with logged impressions")

@@ -108,11 +108,28 @@ def generate_world(config: SimConfig, seed: int) -> SyntheticWorld:
     )
 
 
+def _check_ids(what: str, ids: int | np.ndarray, n: int) -> np.ndarray:
+    """`ids` as an integer array; UsageError unless every id lies in [0, n)."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise UsageError(f"{what} ids must be integers, got {ids.dtype}")
+    if ids.size and not (ids.min() >= 0 and ids.max() < n):
+        raise UsageError(f"{what} ids outside [0, {n})")
+    return ids
+
+
 def relevance_probability(
     world: SyntheticWorld, user: int, query: int, items: int | np.ndarray
 ) -> float | np.ndarray:
-    """P(item is relevant | user, query) for each of `items`; independent of position."""
-    factors = world.item_factors[np.asarray(items)][..., None, :]
+    """P(item is relevant | user, query) for each of `items`; independent of position.
+
+    Ids index the world's entities: UsageError for one outside [0, n), so a
+    negative id never wraps around to the last entity.
+    """
+    cfg = world.config
+    _check_ids("user", user, cfg.n_users)
+    _check_ids("query", query, cfg.n_queries)
+    factors = world.item_factors[_check_ids("item", items, cfg.n_items)][..., None, :]
     # one dot product per item ([1, 8] @ [8, 1]), which keeps the bits of
     # scoring each item alone; a matrix-vector product does not
     logit = (
@@ -146,10 +163,9 @@ def oracle_ctr(
     `items` and `positions` broadcast against each other: pass
     ``items[:, None]`` and ``positions[None, :]`` for a [J, K] matrix.
     """
+    relevance = relevance_probability(world, user, query, items)  # checks the ids
     segment = int(world.user_segments[user])
-    return examination_probability(world, positions, segment) * relevance_probability(
-        world, user, query, items
-    )
+    return examination_probability(world, positions, segment) * relevance
 
 
 # -- traffic simulation -------------------------------------------------------

@@ -30,7 +30,8 @@ BEHAVIORS = [
 
 IMPRESSIONS_SHA256 = "38a7536490ea7f5e341cbc1acbf92996127653b065d55f3d35953ad0425a7961"
 BEHAVIORS_SHA256 = "414bb69f9d032f4c9f862e1e4278ba783cd7761748d2993aaa7dd5cdb8058a49"
-CHECKPOINT_SHA256 = "384be42373565fdc5dfe66e87fa3b0895abd784ce1e5ee14d170a5a807cd2f56"
+# version 4 role names; each tensor's fill below depends on its sorted-name rank i
+CHECKPOINT_SHA256 = "4aca140ffa70199e420d0fc2748f242adb51695ab26999f4a2623dc678e48e9b"
 
 
 def _sha256(path) -> str:

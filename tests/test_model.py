@@ -34,6 +34,19 @@ from posrank.train import score_requests
 from conftest import desk_config, labeled_request, tiny_config
 
 
+# the parameter groups beyond `embed` and `base` that each VARIANT_TABLE entry implies
+_NAME_GROUPS = {
+    "DIN": {"att", "head"},
+    "DIN+PosInWide": {"att", "head", "head.position"},
+    "DIN+PAL": {"att", "head", "head.position"},
+    "DIN+ActualPosInWide": {"att", "head", "head.position"},
+    "DIN+Combination": {"att", "comb"},
+    "DPIN-Transformer": {"att", "inter", "comb"},
+    "DPIN": {"att", "inter", "tf0", "tf1", "comb"},
+    "DPIN+ItemAction": {"att", "inter", "tf0", "tf1", "comb"},
+}
+
+
 class TestBuildModel:
     def test_same_seed_same_bytes(self):
         cfg = tiny_config()
@@ -43,15 +56,11 @@ class TestBuildModel:
         for name in a.names():
             assert a.tensors[name].data.tobytes() == b.tensors[name].data.tobytes()
 
-    def test_din_has_no_position_machinery(self):
-        params = build_model(tiny_config(), "DIN", seed=0)
-        assert not any(n.startswith(("tf", "inter", "pos_att", "wide", "pal")) for n in params.names())
-
-    def test_dpin_has_transformer_and_no_flat_attention(self):
-        params = build_model(tiny_config(), "DPIN", seed=0)
-        names = params.names()
-        assert any(n.startswith("tf0.") for n in names)
-        assert not any(n.startswith(("flat_att", "head", "wide", "pal")) for n in names)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_name_groups_follow_the_variant_table(self, variant):
+        names = build_model(tiny_config(blocks=2), variant, seed=0).names()
+        groups = {n.partition(".")[0] for n in names} | ({"head.position"} & set(names))
+        assert groups == {"embed", "base"} | _NAME_GROUPS[variant]
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(UsageError):
@@ -127,6 +136,12 @@ class TestBaseModule:
         )
         np.testing.assert_array_equal(out.data, np.zeros((3, cfg.item_rep_dim)))
 
+    def test_items_without_a_request_axis_rejected(self):
+        params = build_model(tiny_config(), "DPIN", seed=1)
+        user, ctx = np.zeros((1, 2), dtype=np.int64), np.zeros((1, 4), dtype=np.int64)
+        with pytest.raises(UsageError, match=r"\[B, J, 2\]"):
+            base_module_forward(params, user, ctx, np.zeros((3, 2), dtype=np.int64))
+
     def test_desk_output_dim(self):
         cfg = desk_config()
         params = build_model(cfg, "DPIN", seed=0)
@@ -182,8 +197,8 @@ class TestInterestAggregation:
 
     def test_equal_logits_average(self):
         cfg, params, emb, query = self._setup()
-        params.tensors["pos_att.wa"].data[:] = 0.0
-        params.tensors["pos_att.wb"].data[:] = 0.0
+        params.tensors["att.hidden.w"].data[:] = 0.0
+        params.tensors["att.score.w"].data[:] = 0.0
         mask = np.zeros((2, cfg.max_len))
         mask[:, :3] = 1.0
         out = interest_aggregation(params, emb, mask, query)
@@ -199,7 +214,7 @@ class TestInterestAggregation:
         cfg = tiny_config()
         params = build_model(cfg, "DPIN+ItemAction", seed=2)
         rng = np.random.default_rng(4)
-        params.tensors["pos_att.ba"].data[:] = rng.normal(size=cfg.d_model)
+        params.tensors["att.hidden.b"].data[:] = rng.normal(size=cfg.d_model)
         emb = Tensor(rng.normal(size=(n, cfg.max_len, cfg.behavior_dim)))
         query = Tensor(rng.normal(size=(n * m, cfg.context_dim + cfg.item_dim)))
         mask = np.zeros((n, cfg.max_len))
@@ -218,7 +233,8 @@ class TestInterestAggregation:
     def test_matches_the_concatenated_definition(self):
         params, emb, mask, query = self._many_queries()
         m = query.shape[0] // emb.shape[0]
-        wa, ba, wb, bb = (params.tensors[f"pos_att.{w}"].data for w in ("wa", "ba", "wb", "bb"))
+        names = ("att.hidden.w", "att.hidden.b", "att.score.w", "att.score.b")
+        wa, ba, wb, bb = (params.tensors[n].data for n in names)
         expected = np.zeros((query.shape[0], emb.shape[2]))
         for r, q in enumerate(query.data):
             seq, real = emb.data[r // m], mask[r // m] > 0
@@ -253,8 +269,8 @@ class TestPositionInteraction:
     def test_zero_weights_positive_bias_constant(self):
         cfg = tiny_config()
         params = build_model(cfg, "DPIN", seed=0)
-        params.tensors["inter.wv"].data[:] = 0.0
-        params.tensors["inter.bv"].data[:] = 0.7
+        params.tensors["inter.w"].data[:] = 0.0
+        params.tensors["inter.b"].data[:] = 0.7
         rng = np.random.default_rng(3)
         out = position_interaction(
             params,
@@ -298,8 +314,8 @@ def _per_head_transformer(params, v):
             heads.append(ad.reshape(ad.bmm(ad.softmax(scores), val), (b * k, dk)))
         mha = ad.matmul(ad.concat(heads, axis=1), t[f"tf{blk}.wo"])
         x = ad.layer_norm(x + mha, t[f"tf{blk}.ln1.gain"], t[f"tf{blk}.ln1.bias"])
-        hidden = ad.relu(ad.matmul(x, t[f"tf{blk}.ff.w1"]) + t[f"tf{blk}.ff.b1"])
-        ff = ad.matmul(hidden, t[f"tf{blk}.ff.w2"]) + t[f"tf{blk}.ff.b2"]
+        hidden = ad.relu(ad.matmul(x, t[f"tf{blk}.ff1.w"]) + t[f"tf{blk}.ff1.b"])
+        ff = ad.matmul(hidden, t[f"tf{blk}.ff2.w"]) + t[f"tf{blk}.ff2.b"]
         x = ad.layer_norm(x + ff, t[f"tf{blk}.ln2.gain"], t[f"tf{blk}.ln2.bias"])
     return ad.reshape(x, (b, k, dm))
 
@@ -357,10 +373,8 @@ class TestCombination:
     def test_zero_weights_give_half(self):
         cfg = tiny_config()
         params = build_model(cfg, "DPIN", seed=0)
-        params.tensors["comb.w1"].data[:] = 0.0
-        params.tensors["comb.b1"].data[:] = 0.0
-        params.tensors["comb.w2"].data[:] = 0.0
-        params.tensors["comb.b2"].data[:] = 0.0
+        for name in ("comb.1.w", "comb.1.b", "comb.2.w", "comb.2.b"):
+            params.tensors[name].data[:] = 0.0
         rng = np.random.default_rng(7)
         out = combination_forward(
             params,
@@ -438,12 +452,11 @@ class TestPrepareBatch:
         assert prepare_batch([unlabelled], cfg).positions is None
 
 
-def _randomize_position_tables(params):
-    """Give the wide and PAL position tables distinct per-slot values (they start at 0)."""
-    for name in ("wide.position", "pal.seen"):
-        if name in params.tensors:
-            table = params.tensors[name].data
-            table[:] = np.random.default_rng(20).normal(size=table.shape)
+def _randomize_slot_table(params):
+    """Give the wide or PAL slot table distinct per-slot values (it starts at 0)."""
+    if "head.position" in params.tensors:
+        table = params.tensors["head.position"].data
+        table[:] = np.random.default_rng(20).normal(size=table.shape)
 
 
 class TestPredictMatrix:
@@ -468,7 +481,7 @@ class TestPredictMatrix:
         for variant in ("DIN+PosInWide", "DIN+ActualPosInWide"):
             params = build_model(cfg, variant, seed=9)
             rng = np.random.default_rng(13)
-            params.tensors["wide.position"].data[:] = rng.normal(size=(cfg.max_position + 1, 1))
+            params.tensors["head.position"].data[:] = rng.normal(size=(cfg.max_position + 1, 1))
             m = predict_matrix(params, synthetic_request(cfg, 6, seed=13))
             base_order = np.argsort(m[:, 0])
             for k in range(cfg.max_position):
@@ -478,7 +491,7 @@ class TestPredictMatrix:
         cfg = tiny_config()
         params = build_model(cfg, "DIN+PAL", seed=9)
         req = synthetic_request(cfg, 4, seed=14)
-        seen = params.tensors["pal.seen"].data
+        seen = params.tensors["head.position"].data
         seen[:] = 40.0  # sigmoid(40) == 1.0 exactly, so every column is p_click
         assert ad.sigmoid(Tensor(seen)).data.min() == 1.0
         p_click = predict_matrix(params, req)[:, 0]
@@ -539,7 +552,7 @@ class TestPredictMatrix:
     def test_slot_grid_scores_every_candidate_at_every_slot(self, variant):
         cfg = tiny_config()
         params = build_model(cfg, variant, seed=10)
-        _randomize_position_tables(params)
+        _randomize_slot_table(params)
         requests = [labeled_request(cfg, seed=s) for s in (17, 18)]
         prep = prepare_batch(requests, cfg)
         grid = np.tile(np.arange(1, cfg.max_position + 1), (prep.size * prep.num_items, 1))
@@ -552,7 +565,7 @@ class TestPredictMatrix:
     def test_fixed_position_variant_serves_its_evaluation_score(self):
         cfg = tiny_config()
         params = build_model(cfg, "DIN+PosInWide", seed=10)
-        _randomize_position_tables(params)
+        _randomize_slot_table(params)
         requests = [labeled_request(cfg, seed=s) for s in (17, 18)]
         offline, _, _ = score_requests(params, requests)
         served = np.stack([predict_matrix(params, r) for r in requests])
@@ -647,12 +660,12 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, build_model(cfg, "DIN", seed=23))
         blob = path.read_bytes()
-        name = b"base.b0"
+        name = b"base.0.b"
         start = blob.index(struct.pack("<I", len(name)) + name)
         # name length, name, rank, one dim, then the values
         end = start + 4 + len(name) + 4 + 8 + 8 * cfg.mlp_hidden[0]
         path.write_bytes(_reseal(blob[:end] + blob[start:end] + blob[end:]))
-        with pytest.raises(FormatError, match="'base.b0'"):
+        with pytest.raises(FormatError, match="'base.0.b'"):
             load_checkpoint(path)
 
     def test_flipped_value_byte_fails_the_checksum(self, tmp_path):
@@ -672,9 +685,10 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="checksum"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_file_rejected(self, tmp_path, version):
-        # version 1 had no CRC; version 2 stored per-head wq{h}/wk{h}/wv{h}
+        # version 1 had no CRC; version 2 stored per-head wq{h}/wk{h}/wv{h};
+        # version 3 named tensors per variant (flat_att/pos_att, wide/pal)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, build_model(tiny_config(), "DPIN", seed=23))
         blob = path.read_bytes()
@@ -705,6 +719,5 @@ class TestGradientFidelity:
         assert err < 1e-5, f"{variant}: max relative error {err:.2e}"
         # every history record reaches the loss (the attention logit bias
         # cancels in the softmax, so only its gradient may vanish)
-        att = "flat_att" if "flat_att.wa" in params.tensors else "pos_att"
-        for name in (f"{att}.wa", f"{att}.ba", f"{att}.wb", "embed.time_bucket"):
+        for name in ("att.hidden.w", "att.hidden.b", "att.score.w", "embed.time_bucket"):
             assert np.any(params.tensors[name].grad != 0), name

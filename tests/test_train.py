@@ -147,8 +147,8 @@ class TestEvaluationProtocols:
         actual = build_model(cfg, "DIN+ActualPosInWide", seed=8)
         rng = np.random.default_rng(9)
         shift = rng.normal(size=(cfg.max_position + 1, 1)) * 2.0
-        fixed.tensors["wide.position"].data[:] = shift
-        actual.tensors["wide.position"].data[:] = shift
+        fixed.tensors["head.position"].data[:] = shift
+        actual.tensors["head.position"].data[:] = shift
 
         s_fixed, clicks, positions = score_requests(fixed, requests)
         s_actual, _, _ = score_requests(actual, requests)

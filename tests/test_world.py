@@ -91,6 +91,39 @@ class TestRelevance:
             assert oracle_ctr(world, 0, 0, 0, k) == 0.0
 
 
+class TestEntityIds:
+    @pytest.mark.parametrize("score", ["relevance", "oracle"])
+    @pytest.mark.parametrize(
+        "user, query, items, what",
+        [
+            (-1, 0, np.array([-1, 119]), "user"),
+            (80, 0, 0, "user"),
+            (0, -1, 0, "query"),
+            (0, 12, 0, "query"),
+            (0, 0, np.array([-1, 119]), "item"),
+            (0, 0, 120, "item"),
+            (0, 0, np.array([[0], [120]]), "item"),
+            (0, 0, np.array([1.0]), "item"),
+        ],
+        ids=[
+            "negative-user", "user-n", "negative-query", "query-n",
+            "negative-item", "item-n", "item-grid", "float-item",
+        ],
+    )
+    def test_ids_outside_the_world_rejected(self, score, user, query, items, what):
+        world = generate_world(SimConfig(), seed=0)  # 80 users, 12 queries, 120 items
+        with pytest.raises(UsageError, match=what):
+            if score == "relevance":
+                relevance_probability(world, user, query, items)
+            else:
+                oracle_ctr(world, user, query, items, 1)
+
+    def test_last_ids_accepted(self):
+        world = generate_world(SimConfig(), seed=0)
+        assert relevance_probability(world, 79, 11, np.array([0, 119])).shape == (2,)
+        assert oracle_ctr(world, 79, 11, np.array([[0], [119]]), np.array([[1, 10]])).shape == (2, 2)
+
+
 class TestExamination:
     def test_first_position_is_always_examined(self):
         for cfg in (separable_config(), user_dependent_config()):
