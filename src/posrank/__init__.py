@@ -4,7 +4,6 @@ from .autodiff import (
     Optimizer,
     Tensor,
     backward,
-    gradient_check,
     no_grad,
 )
 from .data import (
@@ -27,7 +26,7 @@ from .errors import (
     UndefinedMetricError,
     UsageError,
 )
-from .metrics import PaucReport, auc, auc_oracle, pauc
+from .metrics import PaucReport, auc, pauc
 from .model import (
     VARIANTS,
     ModelConfig,

@@ -9,13 +9,16 @@ micro-kernel edge cases and its thread split from the whole matrix shape,
 so one output row is summed in a different order depending on how many
 rows share the call.
 
-``matmul`` and ``bmm`` therefore zero-pad the rows of the left operand to a
-multiple of 8 and make one BLAS GEMM call per 8-row block: every call has
-the shape [8, k] @ [k, n] whatever the batch, so a row's sum runs in an
-order fixed by (k, n) alone, and the padding rows are dropped afterwards.
-When n == 1 they keep one dot product per row, which is faster there
+``matmul`` and ``bmm`` therefore share one kernel, ``a[..., m, k] @
+b[..., k, n]`` over leading batch axes (none for ``matmul``, one for
+``bmm``), and one vector-Jacobian product. The kernel zero-pads the rows of
+the left operand to a multiple of 8 and makes one BLAS GEMM call per 8-row
+block against the matrix of the row's batch element: every call has the
+shape [8, k] @ [k, n] whatever the batch, so a row's sum runs in an order
+fixed by (k, n) alone, and the padding rows are dropped afterwards. When
+n == 1 it keeps one dot product per row, which is faster there
 (3,750×32×1: 28 µs per row against 67 µs in blocks). The choice between
-the two is a function of n alone, never of the row count.
+the two is a function of n alone, never of the row count or the batch.
 
 Why 8 rows (one BLAS thread): at desk shapes (up to about 30 rows, k and
 n up to 136) 8-row blocks run as fast as 4-row blocks and beat 16- to
@@ -70,38 +73,29 @@ _BLOCK = 8
 
 
 def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., m, k] @ b[..., k, n] with equal leading (batch) axes, row-stable."""
     # Contiguous operands give every call the same BLAS kernel whatever the
     # caller's layout: a transposed view takes another kernel or numpy's own
     # loop and sums in another order.
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    m, k = a.shape
-    n = b.shape[1]
+    lead = a.shape[:-2]
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    if lead:
+        # [..., 1, k, n]: the row blocks of each batch element meet its own
+        # matrix (numpy broadcasts a 2-D b over them by itself)
+        b = b.reshape(lead + (1, k, n))
     if n == 1:
-        # [m,1,k] @ [k,1]: one dot per row
-        return np.matmul(a[:, None, :], b)[:, 0, :]
+        # [..., m, 1, k] @ [..., 1, k, 1]: one dot per row
+        return np.matmul(a.reshape(lead + (m, 1, k)), b).reshape(lead + (m, 1))
     rows = -(-m // _BLOCK) * _BLOCK
     if rows != m:
-        padded = np.zeros((rows, k))
-        padded[:m] = a
+        padded = np.zeros(lead + (rows, k))
+        padded[..., :m, :] = a
         a = padded
-    # [m/8,8,k] @ [k,n]: numpy makes one [8,k] @ [k,n] gemm per block
-    return np.matmul(a.reshape(rows // _BLOCK, _BLOCK, k), b).reshape(rows, n)[:m]
-
-
-def _row_stable_bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the same kernels, against the matrix of each row's batch element
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    nb, m, k = a.shape
-    n = b.shape[2]
-    if n == 1:
-        return np.matmul(a[:, :, None, :], b[:, None, :, :])[:, :, 0, :]
-    rows = -(-m // _BLOCK) * _BLOCK
-    if rows != m:
-        padded = np.zeros((nb, rows, k))
-        padded[:, :m] = a
-        a = padded
-    out = np.matmul(a.reshape(nb, rows // _BLOCK, _BLOCK, k), b[:, None, :, :])
-    return out.reshape(nb, rows, n)[:, :m]
+    # [..., m/8, 8, k] @ [..., 1, k, n]: numpy makes one [8,k] @ [k,n] gemm per block
+    out = np.matmul(a.reshape(lead + (rows // _BLOCK, _BLOCK, k)), b)
+    return out.reshape(lead + (rows, n))[..., :m, :]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -134,11 +128,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise UsageError(f"item() needs a scalar tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -292,19 +281,23 @@ def repeat_rows(a: Tensor, times: int) -> Tensor:
 # -- linear algebra -------------------------------------------------------
 
 
+def _product(a: Tensor, b: Tensor) -> Tensor:
+    data = _row_stable_matmul(a.data, b.data)
+
+    def vjp(g):
+        # gradient accumulation has no per-row bit contract, BLAS is fine
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
+
+    return _make(data, (a, b), vjp)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.ndim != 2 or b.ndim != 2:
         raise UsageError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise UsageError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    data = _row_stable_matmul(a.data, b.data)
-
-    def vjp(g):
-        # gradient accumulation has no per-row bit contract, BLAS is fine
-        return g @ b.data.T, a.data.T @ g
-
-    return _make(data, (a, b), vjp)
+    return _product(a, b)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -312,12 +305,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise UsageError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
-    data = _row_stable_bmm(a.data, b.data)
-
-    def vjp(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
-
-    return _make(data, (a, b), vjp)
+    return _product(a, b)
 
 
 def _scatter_add_rows(rows: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
@@ -494,53 +482,41 @@ class Optimizer:
 
     One step works on a single flat vector: the gradients are concatenated
     once, and the moments live in flat arrays laid out in the same order.
-    The layout covers the names that have a gradient and is rebuilt only
-    when that set changes; a name without a gradient is skipped and keeps
-    its moments for a later step. The arithmetic runs in place in two
-    reused scratch buffers, so a step allocates no array of the model's size.
+    The layout is built on the first step, over every name of the parameter
+    mapping in mapping order, and never changes: every step needs a
+    gradient for each of those names and no other. The arithmetic runs in
+    place in two reused scratch buffers, so a step allocates no array of
+    the model's size.
     """
 
     def __init__(self, lr: float = 1e-3):
         self.lr = lr
         self.step_count = 0
-        self._names: tuple[str, ...] = ()
-        self._slices: list[slice] = []
-        self._m = self._v = np.zeros(0)
-        # moments of names outside the current layout, as views of old arrays
-        self._parked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._g = self._upd = self._tmp = np.zeros(0)
-
-    def _relayout(self, params: Mapping[str, Tensor], names: tuple[str, ...]) -> None:
-        for name, sl in zip(self._names, self._slices):
-            self._parked[name] = (self._m[sl], self._v[sl])
-        self._slices, start = [], 0
-        for name in names:
-            stop = start + params[name].data.size
-            self._slices.append(slice(start, stop))
-            start = stop
-        self._m, self._v = np.zeros(start), np.zeros(start)
-        for name, sl in zip(names, self._slices):
-            if name in self._parked:
-                self._m[sl], self._v[sl] = self._parked.pop(name)
-        self._g, self._upd, self._tmp = np.empty(start), np.empty(start), np.empty(start)
-        self._names = names
+        self._slices: dict[str, slice] | None = None  # name -> its part of the flat vectors
+        self._m = self._v = self._g = self._upd = self._tmp = np.zeros(0)
 
     def step(self, params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray]) -> None:
         """Apply one update. Validates all gradients before touching any parameter."""
+        if self._slices is None:
+            self._slices, start = {}, 0
+            for name, p in params.items():
+                self._slices[name] = slice(start, start + p.data.size)
+                start += p.data.size
+            self._m, self._v = np.zeros(start), np.zeros(start)
+            self._g, self._upd, self._tmp = np.empty(start), np.empty(start), np.empty(start)
         for name in grads:
-            if name not in params:
+            if name not in self._slices:
                 raise UsageError(f"gradient for unknown parameter {name!r}")
-        names = tuple(name for name in params if grads.get(name) is not None)
-        for name in names:
+        for name in self._slices:
+            if grads.get(name) is None:
+                raise UsageError(f"no gradient for parameter {name!r}")
             if grads[name].shape != params[name].shape:
                 raise UsageError(f"gradient shape mismatch for {name!r}")
-        if names != self._names:
-            self._relayout(params, names)
         g = self._g
-        if names:
-            np.concatenate([grads[name].reshape(-1) for name in names], out=g)
+        if self._slices:
+            np.concatenate([grads[name].reshape(-1) for name in self._slices], out=g)
         if not np.isfinite(g).all():
-            bad = next(n for n, sl in zip(names, self._slices) if not np.isfinite(g[sl]).all())
+            bad = next(n for n, sl in self._slices.items() if not np.isfinite(g[sl]).all())
             raise NumericError(f"non-finite gradient for parameter {bad!r}")
         self.step_count += 1
         # the same operations in the same order as the textbook per-tensor
@@ -559,59 +535,6 @@ class Optimizer:
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
         upd /= tmp
-        for name, sl in zip(names, self._slices):
+        for name, sl in self._slices.items():
             p = params[name].data
             p -= upd[sl].reshape(p.shape)
-
-
-# -- finite-difference gradient checking ------------------------------------
-
-
-def gradient_check(
-    build_loss: Callable[[Mapping[str, Tensor]], Tensor],
-    params: Mapping[str, Tensor],
-    epsilon: float = 1e-6,
-    max_coords_per_tensor: int = 64,
-    seed: int = 0,
-) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    Returns the max over sampled coordinates of
-    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
-    At most `max_coords_per_tensor` coordinates are probed per tensor to
-    bound runtime.
-    """
-    if not 0.0 < epsilon <= 1e-3:
-        raise UsageError(f"epsilon must be in (0, 1e-3], got {epsilon}")
-    for p in params.values():
-        p.grad = None
-    loss = build_loss(params)
-    if not np.isfinite(loss.data).all():
-        raise NumericError("gradient_check: loss is not finite")
-    backward(loss)
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name in sorted(params):
-        p = params[name]
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if n <= max_coords_per_tensor:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=max_coords_per_tensor, replace=False)
-        for idx in coords:
-            keep = flat[idx]
-            flat[idx] = keep + epsilon
-            f_plus = build_loss(params).item()
-            flat[idx] = keep - epsilon
-            f_minus = build_loss(params).item()
-            flat[idx] = keep
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericError(f"gradient_check: non-finite loss while perturbing {name!r}")
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            a = float(analytic.reshape(-1)[idx])
-            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            worst = max(worst, err)
-    return worst

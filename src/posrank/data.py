@@ -194,10 +194,10 @@ class PositionBehaviorSequences:
     rows for position k, each most recent first and at most `max_len` long;
     `flat` holds the most recent `max_len` clicks regardless of position. Rows
     are in `HISTORY_COLUMNS` order. Clicks at or after `reference_ts` never
-    enter (leakage guard). `leaked` counts them: every click of the user at
-    or after this request, not only this request's own, so a sum of `leaked`
-    over requests counts a click once for each request of its user at or
-    before it (69,752 against 4,097 clicks in the benchmark world at seed 5).
+    enter (leakage guard). `leaked` counts the user's clicks at exactly
+    `reference_ts`, i.e. the request's own clicks, which the guard keeps out.
+    A click belongs to one request, so a sum of `leaked` over requests counts
+    each click at most once.
     """
 
     records: np.ndarray  # [R, 7]
@@ -253,10 +253,12 @@ def build_position_behavior_sequences(
     `history` is one user's `encode_history` array, sorted by ts ascending.
     An event logged at position k lands only in sequence k; events at other
     positions are ignored. The most recent `max_len` events are kept per
-    position; events at or after `reference_ts` are excluded and counted.
+    position; events at or after `reference_ts` are excluded, and those at
+    exactly `reference_ts` are counted.
     The result holds copies, so it does not keep `history` alive.
     """
-    cutoff = int(history[:, _TS].searchsorted(reference_ts))
+    ts = history[:, _TS]
+    cutoff = int(ts.searchsorted(reference_ts))
     past = history[:cutoff][::-1]  # most recent first
     past = past[(past[:, _POSITION] >= 1) & (past[:, _POSITION] <= max_position)]
     rows = np.empty((len(past), len(HISTORY_COLUMNS)), dtype=np.int64)
@@ -271,7 +273,7 @@ def build_position_behavior_sequences(
         records=rows[order[rank < max_len]],
         lengths=np.minimum(counts, max_len),
         flat=rows[:max_len].copy(),
-        leaked=len(history) - cutoff,
+        leaked=int(ts.searchsorted(reference_ts, side="right")) - cutoff,
     )
 
 

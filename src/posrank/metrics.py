@@ -44,19 +44,6 @@ def auc(scores, labels) -> float:
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def auc_oracle(scores, labels) -> float:
-    """Explicit O(n^2) pair counting; the independent verifier for `auc`."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    pos = s[y == 1]
-    neg = s[y == 0]
-    if pos.size == 0 or neg.size == 0:
-        raise UndefinedMetricError("auc undefined: only one class present")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (pos.size * neg.size))
-
-
 @dataclass
 class PositionAuc:
     position: int

@@ -201,8 +201,11 @@ def _param_specs(config: ModelConfig, variant: str) -> list[_Spec]:
     """Every tensor of `variant`, in draw order."""
     d = config.embed_dim
     dm = config.d_model
+    spec = variant_spec(variant)
     specs = [(f"embed.{f}", "embed", (config.vocab_sizes[f], d)) for f in VOCAB_FIELDS]
-    specs += [("embed.position", "embed", (config.max_position + 1, d))]
+    # read by the per-position interaction and by the combination head
+    if spec.history != FLAT_HISTORY or spec.head == COMBINATION:
+        specs += [("embed.position", "embed", (config.max_position + 1, d))]
     specs += [("embed.time_bucket", "embed", (TIME_BUCKETS, d))]
 
     fan_in = config.user_dim + config.context_dim + config.item_dim
@@ -210,7 +213,6 @@ def _param_specs(config: ModelConfig, variant: str) -> list[_Spec]:
         specs += _dense(f"base.{i}", fan_in, width)
         fan_in = width
 
-    spec = variant_spec(variant)
     # a history record is attended against its item (DIN), the request context, or both
     query_dim = config.item_dim if spec.history == FLAT_HISTORY else config.context_dim
     if spec.history == PER_CANDIDATE:

