@@ -14,10 +14,8 @@ from .data import (
     build_position_behavior_sequences,
     encode_history,
     group_requests,
-    read_behaviors,
-    read_impressions,
-    write_behaviors,
-    write_impressions,
+    read_tsv,
+    write_tsv,
 )
 from .errors import (
     FormatError,
@@ -26,7 +24,7 @@ from .errors import (
     UndefinedMetricError,
     UsageError,
 )
-from .metrics import PaucReport, auc, pauc
+from .metrics import PaucReport, PositionAuc, auc, pauc
 from .model import (
     VARIANTS,
     ModelConfig,
@@ -39,13 +37,15 @@ from .model import (
 )
 from .serving import (
     Allocation,
+    LatencyRow,
     LatencyTable,
     allocate_request,
     benchmark_latency,
     exhaustive_allocate,
     greedy_allocate,
 )
-from .train import TrainConfig, TrainHistory, evaluate, train
+# `train` is left unbound here, so `posrank.train` names the submodule
+from .train import EpochStats, GradNorm, TrainConfig, TrainHistory, evaluate
 from .world import (
     SimConfig,
     SyntheticWorld,

@@ -1,10 +1,13 @@
 """Feature vocabularies, impression logs and per-position behavior sequences.
 
-File formats (UTF-8, tab-separated): an impression log holds one
-`RawImpression` per row, a behavior log one `RawBehavior` (one historical
-click) per row. The columns are the dataclass fields in declaration order,
-named in a header row; each value is written with `str` and read back with
-its field's declared type.
+One TSV format (UTF-8, tab-separated) serves every table the package
+writes: logs and reports alike are lists of flat dataclass rows, written by
+`write_tsv` and read back by `read_tsv`. The columns are the dataclass
+fields in declaration order, named in a header row; each value is written
+with `str` and read back with its field's declared type, which must be
+`int`, `float` or `str`. An undefined value is a float NaN, written `nan`.
+An impression log holds one `RawImpression` per row, a behavior log one
+`RawBehavior` (one historical click) per row.
 
 Tokens are arbitrary strings; integer ids are assigned per field with id 0
 reserved for unknown/padding. Time differences are bucketed into 16
@@ -86,20 +89,12 @@ class Vocabulary:
 
     def __init__(self):
         self._maps: dict[str, dict[str, int]] = {f: {} for f in VOCAB_FIELDS}
-        # per field, the token of id i at index i - 1
-        self._tokens: dict[str, list[str]] = {f: [] for f in VOCAB_FIELDS}
 
     def size(self, field_name: str) -> int:
         return len(self._field(field_name)) + 1
 
     def encode(self, field_name: str, token: str) -> int:
         return self._field(field_name).get(token, 0)
-
-    def decode(self, field_name: str, idx: int) -> str | None:
-        """Inverse of encode; None for the unknown id 0 and for ids outside [1, size)."""
-        self._field(field_name)
-        tokens = self._tokens[field_name]
-        return tokens[idx - 1] if 1 <= idx <= len(tokens) else None
 
     def _field(self, field_name: str) -> dict[str, int]:
         if field_name not in self._maps:
@@ -116,23 +111,35 @@ class Vocabulary:
                 ids = vocab._maps[f]
                 if token not in ids:
                     ids[token] = len(ids) + 1
-                    vocab._tokens[f].append(token)
         return vocab
 
 
 # -- file I/O ---------------------------------------------------------------
 
 
-def _read_log(path, record: type) -> list:
-    """Rows of a log of `record`s; FormatError names the file and line of a bad row."""
-    path = Path(path)
-    columns = fields(record)
+# the column types `str` writes and the type itself parses back exactly
+_COLUMN_TYPES = (int, float, str)
+
+
+def _columns(record: type) -> dict[str, type]:
+    """Field name -> type of `record`, in order; UsageError names a field of another type."""
     types = get_type_hints(record)
-    parsers = [types[c.name] for c in columns]
+    columns = {c.name: types[c.name] for c in fields(record)}
+    for name, kind in columns.items():
+        if kind not in _COLUMN_TYPES:
+            raise UsageError(f"{record.__name__}.{name}: a TSV column must be int, float or str, not {kind}")
+    return columns
+
+
+def read_tsv(path, record: type) -> list:
+    """Rows of a table of `record`s; FormatError names the file and line of a bad row."""
+    path = Path(path)
+    columns = _columns(record)
+    parsers = list(columns.values())
     rows = []
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if header.split("\t") != [c.name for c in columns]:
+        if header.split("\t") != list(columns):
             raise FormatError(f"{path}: unsupported {record.__name__} header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -147,28 +154,13 @@ def _read_log(path, record: type) -> list:
     return rows
 
 
-def _write_log(path, record: type, rows: Iterable) -> None:
-    names = [c.name for c in fields(record)]
+def write_tsv(path, record: type, rows: Iterable) -> None:
+    """Write `rows`, each a `record`, as a table `read_tsv(path, record)` reads back."""
+    names = list(_columns(record))
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(names) + "\n")
         for row in rows:
             fh.write("\t".join(str(getattr(row, name)) for name in names) + "\n")
-
-
-def read_impressions(path) -> list[RawImpression]:
-    return _read_log(path, RawImpression)
-
-
-def write_impressions(path, impressions: Iterable[RawImpression]) -> None:
-    _write_log(path, RawImpression, impressions)
-
-
-def read_behaviors(path) -> list[RawBehavior]:
-    return _read_log(path, RawBehavior)
-
-
-def write_behaviors(path, behaviors: Iterable[RawBehavior]) -> None:
-    _write_log(path, RawBehavior, behaviors)
 
 
 # -- behavior sequences ------------------------------------------------------

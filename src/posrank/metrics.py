@@ -2,8 +2,10 @@
 
 The per-position average scores relevance ranking quality at each display
 slot separately, so adding any constant to all scores at one position
-leaves it unchanged. Positions where all labels agree have no defined AUC
-and are dropped from both the numerator and the denominator.
+leaves it unchanged. Positions where all labels agree have no defined AUC:
+their `PositionAuc.auc` is NaN and they are dropped from both the numerator
+and the denominator. A report's per-position table is a list of flat
+`PositionAuc` rows, written with `data.write_tsv`.
 """
 
 from __future__ import annotations
@@ -46,35 +48,29 @@ def auc(scores, labels) -> float:
 
 @dataclass
 class PositionAuc:
+    """One display position's AUC; NaN when its impressions have one label class."""
+
     position: int
     impressions: int
-    auc: float | None
-    included: bool
+    auc: float
 
 
 @dataclass
 class PaucReport:
-    """Per-position AUC breakdown plus the impression-weighted average."""
+    """Per-position AUC rows plus the impression-weighted average and the overall AUC."""
 
     pauc: float
-    overall_auc: float | None
+    overall_auc: float
     positions: list[PositionAuc] = field(default_factory=list)
-
-    def to_tsv(self) -> str:
-        lines = ["k\tn\tauc_k\tincluded"]
-        for row in self.positions:
-            auc_txt = f"{row.auc:.6f}" if row.auc is not None else "NA"
-            lines.append(f"{row.position}\t{row.impressions}\t{auc_txt}\t{int(row.included)}")
-        overall = f"{self.overall_auc:.6f}" if self.overall_auc is not None else "NA"
-        lines.append(f"# pauc={self.pauc:.6f}\toverall_auc={overall}")
-        return "\n".join(lines) + "\n"
 
 
 def pauc(scores, labels, positions) -> PaucReport:
     """Impression-weighted mean of per-position AUCs.
 
     Groups impressions by display position; positions with a single label
-    class are flagged and excluded from both sums.
+    class get a NaN AUC and are excluded from both sums. Any position with
+    both classes gives the whole set both, so the overall AUC is defined
+    whenever PAUC is.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
@@ -91,16 +87,11 @@ def pauc(scores, labels, positions) -> PaucReport:
         try:
             a = auc(s[mask], y[mask])
         except UndefinedMetricError:
-            rows.append(PositionAuc(pos, n, None, False))
+            rows.append(PositionAuc(pos, n, float("nan")))
             continue
-        rows.append(PositionAuc(pos, n, a, True))
+        rows.append(PositionAuc(pos, n, a))
         weighted += n * a
         total += n
     if total == 0:
         raise UndefinedMetricError("pauc undefined: every position has a single label class")
-
-    try:
-        overall = auc(s, y)
-    except UndefinedMetricError:
-        overall = None
-    return PaucReport(pauc=weighted / total, overall_auc=overall, positions=rows)
+    return PaucReport(pauc=weighted / total, overall_auc=auc(s, y), positions=rows)

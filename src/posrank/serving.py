@@ -74,14 +74,6 @@ class Allocation:
     slots: list[tuple[int, int]]  # (position, candidate index)
     total_value: float
 
-    def to_tsv(self, matrix: np.ndarray, bids: np.ndarray) -> str:
-        lines = ["position\tcandidate\tctr\tbid\tecpm"]
-        for pos, cand in self.slots:
-            ctr = matrix[cand, pos - 1]
-            lines.append(f"{pos}\t{cand}\t{ctr:.6f}\t{bids[cand]:.6f}\t{ctr * bids[cand]:.6f}")
-        lines.append(f"# total_value={self.total_value:.6f}")
-        return "\n".join(lines) + "\n"
-
 
 def _check_instance(matrix: np.ndarray, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -161,14 +153,6 @@ class LatencyRow:
 @dataclass
 class LatencyTable:
     rows: list[LatencyRow]
-
-    def to_tsv(self) -> str:
-        lines = ["variant\tJ\tK\tmedian_us\tp95_us\ttrials"]
-        for r in self.rows:
-            lines.append(
-                f"{r.variant}\t{r.num_items}\t{r.max_position}\t{r.median_us:.1f}\t{r.p95_us:.1f}\t{r.trials}"
-            )
-        return "\n".join(lines) + "\n"
 
     def median(self, variant: str, num_items: int) -> float:
         for r in self.rows:

@@ -30,6 +30,8 @@ from .model import (
 
 __all__ = [
     "TrainConfig",
+    "EpochStats",
+    "GradNorm",
     "TrainHistory",
     "train",
     "evaluate",
@@ -53,44 +55,40 @@ class TrainConfig:
 
 
 @dataclass
-class TrainHistory:
-    """Per-epoch telemetry of one `train` call.
+class EpochStats:
+    """One epoch: mean training loss, validation AUC/PAUC (NaN when not validated), wall seconds."""
 
-    `grad_norms` holds, per epoch, the L2 norm of the gradient of each
-    parameter group (a tensor name up to its first `.`) on the epoch's last
-    batch. Every variant's attention is group `att`, and its logit head with
-    the slot table `head.position` is group `head`.
-    `best_epoch` is the epoch with the best validation PAUC, whose
+    epoch: int
+    train_loss: float
+    val_auc: float
+    val_pauc: float
+    seconds: float
+
+
+@dataclass
+class GradNorm:
+    """L2 norm of one parameter group's gradient on an epoch's last batch."""
+
+    epoch: int
+    group: str
+    norm: float
+
+
+@dataclass
+class TrainHistory:
+    """Per-epoch telemetry of one `train` call, as flat rows for `data.write_tsv`.
+
+    `epochs` holds one `EpochStats` per epoch. `grad_norms` holds, per epoch
+    and parameter group (a tensor name up to its first `.`), the gradient
+    norm on the epoch's last batch. Every variant's attention is group
+    `att`, and its logit head with the slot table `head.position` is group
+    `head`. `best_epoch` is the epoch with the best validation PAUC, whose
     parameters `train` returns; None when no validation pass scored.
     """
 
-    epochs: list[int] = field(default_factory=list)
-    train_loss: list[float] = field(default_factory=list)
-    val_auc: list[float] = field(default_factory=list)
-    val_pauc: list[float] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
-    grad_norms: list[dict[str, float]] = field(default_factory=list)
+    epochs: list[EpochStats] = field(default_factory=list)
+    grad_norms: list[GradNorm] = field(default_factory=list)
     best_epoch: int | None = None
-
-    def append(
-        self, epoch: int, loss: float, auc: float, pauc_: float, secs: float, grad_norms: dict[str, float]
-    ) -> None:
-        self.epochs.append(epoch)
-        self.train_loss.append(loss)
-        self.val_auc.append(auc)
-        self.val_pauc.append(pauc_)
-        self.seconds.append(secs)
-        self.grad_norms.append(grad_norms)
-
-    def to_tsv(self) -> str:
-        lines = ["epoch\ttrain_loss\tval_auc\tval_pauc\tseconds"]
-        for i in range(len(self.epochs)):
-            auc_txt = f"{self.val_auc[i]:.6f}" if np.isfinite(self.val_auc[i]) else "NA"
-            pauc_txt = f"{self.val_pauc[i]:.6f}" if np.isfinite(self.val_pauc[i]) else "NA"
-            lines.append(
-                f"{self.epochs[i]}\t{self.train_loss[i]:.6f}\t{auc_txt}\t{pauc_txt}\t{self.seconds[i]:.3f}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 SCORE_BATCH_REQUESTS = 64  # requests per `score_displayed` call when scoring
@@ -124,13 +122,13 @@ def evaluate(params: ParameterSet, requests: list[Request]) -> PaucReport:
     return pauc(scores, clicks, positions)
 
 
-def _group_grad_norms(grads: dict[str, np.ndarray]) -> dict[str, float]:
+def _group_grad_norms(epoch: int, grads: dict[str, np.ndarray]) -> list[GradNorm]:
     """L2 norm of the gradient of each parameter group (name up to the first `.`)."""
     squares: dict[str, float] = {}
     for name, g in grads.items():
         group = name.partition(".")[0]
         squares[group] = squares.get(group, 0.0) + float(np.vdot(g, g))
-    return {group: float(np.sqrt(sq)) for group, sq in squares.items()}
+    return [GradNorm(epoch, group, float(np.sqrt(sq))) for group, sq in squares.items()]
 
 
 def _request_batches(n_requests: int, requests_per_batch: int, rng: np.random.Generator):
@@ -197,8 +195,7 @@ def train(
             opt.step(params.tensors, grads)
             losses.append(float(loss.data))
 
-        val_auc = float("nan")
-        val_pauc = float("nan")
+        val_auc = val_pauc = float("nan")
         do_eval = (
             val_requests
             and train_config.eval_every > 0
@@ -206,14 +203,12 @@ def train(
         )
         if do_eval:
             report = evaluate(params, val_requests)
-            val_auc = report.overall_auc if report.overall_auc is not None else float("nan")
-            val_pauc = report.pauc
+            val_auc, val_pauc = report.overall_auc, report.pauc
             if report.pauc > best_pauc:
                 best_pauc = report.pauc
                 best = params.copy()
                 history.best_epoch = epoch
-        history.append(
-            epoch, float(np.mean(losses)), val_auc, val_pauc, time.perf_counter() - t0, _group_grad_norms(grads)
-        )
+        history.epochs.append(EpochStats(epoch, float(np.mean(losses)), val_auc, val_pauc, time.perf_counter() - t0))
+        history.grad_norms.extend(_group_grad_norms(epoch, grads))
 
     return (best if best is not None else params), history

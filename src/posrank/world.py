@@ -197,7 +197,8 @@ def _simulate_request(world: SyntheticWorld, request_index: int) -> Iterator[Raw
 
     traffic = "randomized" if randomized else "regular"
     segment = int(world.user_segments[user])
-    clicks = rng.random(k_eff) < world.examination[segment, :k_eff] * rel[top]
+    slots = np.arange(1, k_eff + 1)
+    clicks = rng.random(k_eff) < examination_probability(world, slots, segment) * rel[top]
     for slot, (cand_idx, click) in enumerate(zip(top.tolist(), clicks.tolist()), start=1):
         item = int(candidates[cand_idx])
         yield RawImpression(

@@ -1,6 +1,7 @@
-"""Vocabularies, log file round-trips and behavior sequence construction."""
+"""Vocabularies, TSV round-trips of logs and report rows, and behavior sequence construction."""
 
 import math
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 import pytest
@@ -8,20 +9,22 @@ import pytest
 from posrank.data import (
     HISTORY_COLUMNS,
     IMPRESSION_COLUMNS,
-    VOCAB_FIELDS,
     RawBehavior,
     RawImpression,
     Vocabulary,
     build_position_behavior_sequences,
     encode_history,
     group_requests,
-    read_behaviors,
-    read_impressions,
+    read_tsv,
     time_bucket,
-    write_behaviors,
-    write_impressions,
+    write_tsv,
 )
 from posrank.errors import FormatError, UsageError
+from posrank.metrics import PositionAuc, pauc
+from posrank.serving import LatencyRow
+from posrank.train import EpochStats, GradNorm, TrainConfig, train
+
+from conftest import labeled_request, tiny_config
 
 
 def _imp(**kw) -> RawImpression:
@@ -62,15 +65,6 @@ class TestVocabulary:
         assert vocab.encode("query", "known") == 1
         assert vocab.encode("query", "never-seen") == 0
 
-    def test_decode_outside_the_assigned_ids_is_none(self):
-        rows = [_imp(item_id="first"), _imp(item_id="second"), _imp(item_id="first")]
-        vocab = Vocabulary.build(rows)
-        assert vocab.decode("item_id", 1) == "first" and vocab.decode("item_id", 2) == "second"
-        for idx in (0, -1, -2, vocab.size("item_id"), vocab.size("item_id") + 5):
-            assert vocab.decode("item_id", idx) is None
-        with pytest.raises(UsageError, match="unknown vocabulary field"):
-            vocab.decode("no_such_field", 1)
-
     def test_first_seen_order_is_deterministic(self):
         rows = [_imp(item_id=t) for t in ("z", "a", "m", "a")]
         vocab = Vocabulary.build(rows)
@@ -110,24 +104,14 @@ class TestEncodeImpression:
     @pytest.mark.parametrize("bid", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_bid_from_a_file_rejected(self, tmp_path, bid):
         path = tmp_path / "impressions.tsv"
-        write_impressions(path, [_imp(bid=bid)])
+        write_tsv(path, RawImpression, [_imp(bid=bid)])
         with pytest.raises(UsageError, match="bid must be positive and finite"):
-            self._group(read_impressions(path))
+            self._group(read_tsv(path, RawImpression))
 
     def test_unseen_query_becomes_zero(self):
         vocab = Vocabulary.build([_imp(query="seen")])
         (req,) = self._group([_imp(query="unseen")], vocab)
         assert req.context_ids[0] == 0
-
-    def test_reencoding_decoded_form_is_identity(self):
-        rows = [_imp(item_id=f"i{n}", query=f"q{n}") for n in range(5)]
-        vocab = Vocabulary.build(rows)
-        for f in VOCAB_FIELDS:
-            for raw in rows:
-                token = getattr(raw, f)
-                assert vocab.decode(f, vocab.encode(f, token)) == token
-            for idx in range(1, vocab.size(f)):
-                assert vocab.encode(f, vocab.decode(f, idx)) == idx
 
 
 class TestFileRoundTrip:
@@ -144,8 +128,8 @@ class TestFileRoundTrip:
             for i in range(100)
         ]
         path = tmp_path / "imps.tsv"
-        write_impressions(path, rows)
-        assert read_impressions(path) == rows
+        write_tsv(path, RawImpression, rows)
+        assert read_tsv(path, RawImpression) == rows
 
     def test_behaviors_round_trip_exactly(self, tmp_path):
         rows = [
@@ -156,51 +140,102 @@ class TestFileRoundTrip:
             for i in range(37)
         ]
         path = tmp_path / "behaviors.tsv"
-        write_behaviors(path, rows)
-        assert read_behaviors(path) == rows
+        write_tsv(path, RawBehavior, rows)
+        assert read_tsv(path, RawBehavior) == rows
 
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("\t".join(IMPRESSION_COLUMNS) + "\n", encoding="utf-8")
-        assert read_impressions(path) == []
+        assert read_tsv(path, RawImpression) == []
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("foo\tbar\n", encoding="utf-8")
         with pytest.raises(FormatError):
-            read_impressions(path)
+            read_tsv(path, RawImpression)
         with pytest.raises(FormatError):
-            read_behaviors(path)
+            read_tsv(path, RawBehavior)
 
     def test_corrupted_row_names_the_line(self, tmp_path):
         path = tmp_path / "corrupt.tsv"
         good = _imp()
-        write_impressions(path, [good, good])
+        write_tsv(path, RawImpression, [good, good])
         lines = path.read_text().splitlines()
         lines[2] = "only\tthree\tcolumns"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=":3"):
-            read_impressions(path)
+            read_tsv(path, RawImpression)
 
     @pytest.mark.parametrize("column, value", [("day", "x"), ("bid", "cheap"), ("click", "1.5")])
     def test_bad_value_names_the_line(self, tmp_path, column, value):
         path = tmp_path / "bad_value.tsv"
-        write_impressions(path, [_imp(), _imp()])
+        write_tsv(path, RawImpression, [_imp(), _imp()])
         lines = path.read_text().splitlines()
         cells = lines[2].split("\t")
         cells[IMPRESSION_COLUMNS.index(column)] = value
         lines[2] = "\t".join(cells)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r"bad_value\.tsv:3"):
-            read_impressions(path)
+            read_tsv(path, RawImpression)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "behaviors.tsv"
         row = RawBehavior("u1", 5, 2, "iA", "c1", "q1", "g1", "12", "3")
-        write_behaviors(path, [row, row])
+        write_tsv(path, RawBehavior, [row, row])
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], "", lines[1], "  ", lines[2], ""]) + "\n", encoding="utf-8")
-        assert read_behaviors(path) == [row, row]
+        assert read_tsv(path, RawBehavior) == [row, row]
+
+    @pytest.mark.parametrize("kind", [bool, float | None, list[int]], ids=["bool", "optional", "list"])
+    def test_only_int_float_and_str_columns(self, tmp_path, kind):
+        # `bool("False")` is True: a bool column would not read back what was written
+        record = make_dataclass("Flagged", [("name", str), ("flag", kind)])
+        path = tmp_path / "flagged.tsv"
+        with pytest.raises(UsageError, match=r"Flagged\.flag"):
+            write_tsv(path, record, [record("a", False)])
+        assert not path.exists()
+        path.write_text("name\tflag\na\tFalse\n", encoding="utf-8")
+        with pytest.raises(UsageError, match=r"Flagged\.flag"):
+            read_tsv(path, record)
+
+    @pytest.mark.parametrize("record", [PositionAuc, EpochStats, GradNorm, LatencyRow], ids=lambda r: r.__name__)
+    def test_report_rows_round_trip(self, tmp_path, record):
+        rows = _REPORT_ROWS[record]()
+        path = tmp_path / "report.tsv"
+        write_tsv(path, record, rows)
+        back = read_tsv(path, record)
+        assert len(back) == len(rows)
+        for row, again in zip(rows, back):
+            for f in fields(record):
+                a, b = getattr(row, f.name), getattr(again, f.name)
+                assert type(a) is type(b) and (a == b or (math.isnan(a) and math.isnan(b))), f.name
+
+
+def _position_auc_rows() -> list[PositionAuc]:
+    # position 2 has no click, so its AUC is undefined
+    report = pauc([0.9, 0.4, 0.6, 0.1, 0.3, 0.2], [1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 2, 2])
+    assert math.isnan(report.positions[1].auc)
+    return report.positions
+
+
+def _unvalidated_history():
+    cfg = tiny_config()
+    requests = [labeled_request(cfg, seed=40 + s, click_rate=0.4) for s in range(3)]
+    _, history = train(requests, cfg, "DPIN", TrainConfig(batch_size=6, epochs=2, seed=6, eval_every=0))
+    assert [e.epoch for e in history.epochs] == [1, 2]
+    assert all(math.isnan(e.val_auc) and math.isnan(e.val_pauc) for e in history.epochs)
+    return history
+
+
+_REPORT_ROWS = {
+    PositionAuc: _position_auc_rows,
+    EpochStats: lambda: _unvalidated_history().epochs,
+    GradNorm: lambda: _unvalidated_history().grad_norms,
+    LatencyRow: lambda: [
+        LatencyRow("DPIN+ItemAction", 20, 10, 1234.5678901234567, 0.30000000000000004, 30),
+        LatencyRow("ü", 1, 1, 1e-300, float("inf"), 31),
+    ],
+}
 
 
 class TestTimeBucket:

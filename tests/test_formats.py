@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 
-from posrank.data import RawBehavior, RawImpression, write_behaviors, write_impressions
+from posrank.data import RawBehavior, RawImpression, write_tsv
 from posrank.model import build_model, save_checkpoint
 
 from conftest import tiny_config
@@ -39,8 +39,8 @@ def _sha256(path) -> str:
 
 
 def test_log_bytes_are_pinned(tmp_path):
-    write_impressions(tmp_path / "impressions.tsv", IMPRESSIONS)
-    write_behaviors(tmp_path / "behaviors.tsv", BEHAVIORS)
+    write_tsv(tmp_path / "impressions.tsv", RawImpression, IMPRESSIONS)
+    write_tsv(tmp_path / "behaviors.tsv", RawBehavior, BEHAVIORS)
     assert _sha256(tmp_path / "impressions.tsv") == IMPRESSIONS_SHA256
     assert _sha256(tmp_path / "behaviors.tsv") == BEHAVIORS_SHA256
 

@@ -115,7 +115,7 @@ class TestPauc:
         base = pauc(scores[:4], labels[:4], positions[:4])
         assert report.pauc == base.pauc
         excluded = [r for r in report.positions if r.position == 2][0]
-        assert not excluded.included and excluded.auc is None
+        assert np.isnan(excluded.auc)
 
     def test_all_positions_excluded_rejected(self):
         with pytest.raises(UndefinedMetricError):
@@ -139,12 +139,7 @@ class TestPauc:
         labels = rng.integers(0, 2, size=n)
         positions = rng.integers(1, 8, size=n)
         report = pauc(scores, labels, positions)
-        num = sum(r.impressions * r.auc for r in report.positions if r.included)
-        den = sum(r.impressions for r in report.positions if r.included)
+        defined = [r for r in report.positions if np.isfinite(r.auc)]
+        num = sum(r.impressions * r.auc for r in defined)
+        den = sum(r.impressions for r in defined)
         assert report.pauc == pytest.approx(num / den, abs=1e-12)
-
-    def test_tsv_shape(self):
-        report = pauc([0.9, 0.1, 0.8, 0.3], [1, 0, 1, 0], [1, 1, 2, 2])
-        lines = report.to_tsv().strip().splitlines()
-        assert lines[0] == "k\tn\tauc_k\tincluded"
-        assert len(lines) == 4  # header + 2 positions + summary

@@ -12,3 +12,10 @@ def test_every_console_script_target_imports():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_posrank_train_is_the_training_module():
+    import posrank
+
+    assert posrank.train is importlib.import_module("posrank.train")
+    assert callable(posrank.train.score_requests) and callable(posrank.train.train)

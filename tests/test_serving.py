@@ -128,16 +128,6 @@ class TestAllocateRequest:
         assert alloc.slots == direct.slots
         assert alloc.total_value == direct.total_value
 
-    def test_allocation_tsv(self):
-        cfg = tiny_config()
-        params = build_model(cfg, "DPIN", seed=5)
-        req = synthetic_request(cfg, 4, seed=7)
-        alloc, matrix = allocate_request(params, req)
-        bids = np.array([c.bid for c in req.candidates])
-        lines = alloc.to_tsv(matrix, bids).strip().splitlines()
-        assert lines[0] == "position\tcandidate\tctr\tbid\tecpm"
-        assert len(lines) == 2 + cfg.max_position
-
 
 class TestSyntheticRequest:
     def test_history_block_repeats_the_scalar_draw_stream(self):
@@ -174,8 +164,6 @@ class TestBenchmark:
         assert len(table.rows) == 4
         assert all(r.median_us > 0 and r.p95_us >= r.median_us for r in table.rows)
         assert all(r.trials == 30 for r in table.rows)
-        lines = table.to_tsv().strip().splitlines()
-        assert lines[0] == "variant\tJ\tK\tmedian_us\tp95_us\ttrials"
         assert table.median("DPIN", 2) > 0
         with pytest.raises(UsageError):
             table.median("DIN", 2)

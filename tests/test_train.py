@@ -53,7 +53,7 @@ class TestTrainLoop:
         requests = _toy_requests(cfg, 4)  # 12 impressions
         tc = TrainConfig(batch_size=12, epochs=60, learning_rate=3e-3, seed=1, eval_every=0)
         _, history = train(requests, cfg, "DPIN", tc)
-        assert history.train_loss[-1] < history.train_loss[0]
+        assert history.epochs[-1].train_loss < history.epochs[0].train_loss
 
     def test_training_is_byte_deterministic(self, tmp_path):
         cfg = tiny_config()
@@ -100,7 +100,7 @@ class TestTrainLoop:
         tc = TrainConfig(batch_size=6, epochs=6, seed=4, eval_every=1)
         params, history = train(train_reqs, cfg, "DPIN", tc, val_requests=val_reqs)
         achieved = evaluate(params, val_reqs).pauc
-        assert achieved == pytest.approx(np.nanmax(history.val_pauc), abs=1e-12)
+        assert achieved == pytest.approx(np.nanmax([e.val_pauc for e in history.epochs]), abs=1e-12)
 
     def test_best_epoch_is_the_returned_one(self):
         cfg = tiny_config()
@@ -108,7 +108,8 @@ class TestTrainLoop:
         val_reqs = _toy_requests(cfg, 6, seed0=90)
         tc = TrainConfig(batch_size=6, epochs=6, seed=4, eval_every=1)
         _, history = train(train_reqs, cfg, "DPIN", tc, val_requests=val_reqs)
-        assert history.best_epoch == history.epochs[int(np.nanargmax(history.val_pauc))]
+        val_pauc = [e.val_pauc for e in history.epochs]
+        assert history.best_epoch == history.epochs[int(np.nanargmax(val_pauc))].epoch
         _, unvalidated = train(train_reqs, cfg, "DPIN", tc)
         assert unvalidated.best_epoch is None
 
@@ -125,18 +126,12 @@ class TestTrainLoop:
             if t.grad is not None:
                 group = name.split(".")[0]
                 squares[group] = squares.get(group, 0.0) + float((t.grad**2).sum())
-        (norms,) = history.grad_norms
+        assert {g.epoch for g in history.grad_norms} == {1}
+        norms = {g.group: g.norm for g in history.grad_norms}
+        assert len(norms) == len(history.grad_norms)
         assert set(norms) == set(squares) and "embed" in norms
         for group, sq in squares.items():
             assert norms[group] == pytest.approx(math.sqrt(sq), rel=1e-9), group
-
-    def test_history_tsv_header(self):
-        cfg = tiny_config()
-        tc = TrainConfig(batch_size=6, epochs=2, seed=6, eval_every=0)
-        _, history = train(_toy_requests(cfg, 3), cfg, "DIN", tc)
-        lines = history.to_tsv().strip().splitlines()
-        assert lines[0] == "epoch\ttrain_loss\tval_auc\tval_pauc\tseconds"
-        assert len(lines) == 3
 
 
 class TestEvaluationProtocols:
