@@ -41,7 +41,6 @@ from .serving import (
     LatencyTable,
     allocate_request,
     benchmark_latency,
-    exhaustive_allocate,
     greedy_allocate,
 )
 # `train` is left unbound here, so `posrank.train` names the submodule

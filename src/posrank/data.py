@@ -155,12 +155,24 @@ def read_tsv(path, record: type) -> list:
 
 
 def write_tsv(path, record: type, rows: Iterable) -> None:
-    """Write `rows`, each a `record`, as a table `read_tsv(path, record)` reads back."""
+    """Write `rows`, each a `record`, as a table `read_tsv(path, record)` reads back.
+
+    A `str` value holding a tab or line break would split its row, so it
+    raises UsageError, naming the record, field and row, before the file is
+    opened.
+    """
     names = list(_columns(record))
+    lines = []
+    for index, row in enumerate(rows):
+        values = [str(getattr(row, name)) for name in names]
+        line = "\t".join(values)
+        if line.count("\t") != len(names) - 1 or "\n" in line or "\r" in line:
+            name = next(n for n, v in zip(names, values) if any(c in v for c in "\t\n\r"))
+            raise UsageError(f"{record.__name__}.{name} of rows[{index}] holds a tab or line break")
+        lines.append(line + "\n")
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(names) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(getattr(row, name)) for name in names) + "\n")
+        fh.writelines(lines)
 
 
 # -- behavior sequences ------------------------------------------------------

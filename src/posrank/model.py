@@ -2,8 +2,8 @@
 
 The full pipeline has three stages:
 
-* base: embeds user/context/item ids and runs an MLP once per candidate
-  item, giving a per-item representation that ignores positions;
+* base: an MLP over the user, context and item embeddings, run once per
+  candidate item, giving a per-item representation that ignores positions;
 * interaction: embeds the user's per-position click history, aggregates
   each position's sequence with context-aware attention, mixes in the
   position embedding, and (optionally) runs transformer blocks across
@@ -19,7 +19,11 @@ upper bound and latency worst case), a head (plain logit, additive wide
 position weight, PAL seen factor, or the combination MLP), whether the
 transformer runs, and whether evaluation and serving score every
 impression at slot 1.
-Training, evaluation and serving all score through `score_displayed`.
+Training, evaluation and serving all score through `score_displayed`. It
+embeds each id group (user, context, candidate items) once per batch and
+passes the tensors to every stage, so the item side is one path for all
+variants: one call of the base module, and the same item embeddings query
+DIN's flat history and DPIN+ItemAction's position sequences.
 
 Every history stage pools through one attention op, `interest_aggregation`,
 which scores each sequence against all of its queries at once: DIN pools a
@@ -371,22 +375,18 @@ def behavior_embedding(params: ParameterSet, ids: np.ndarray) -> Tensor:
     return _embed_concat(params, HISTORY_COLUMNS, ids)
 
 
-def base_module_forward(
-    params: ParameterSet, user_ids: np.ndarray, context_ids: np.ndarray, item_ids: np.ndarray
-) -> Tensor:
-    """Per-item representation from (user, context, item) ids only.
+def base_module_forward(params: ParameterSet, user: Tensor, context: Tensor, items: Tensor) -> Tensor:
+    """Per-item representation from (user, context, item) embeddings only.
 
-    user_ids [B,2], context_ids [B,4], item_ids [B,J,2] -> [B*J, item_rep_dim].
-    Row b*J+j depends only on request b's user/context and its item j.
+    user [B, user_dim], context [B, context_dim], items [B*J, item_dim],
+    request-major -> [B*J, item_rep_dim]. Row b*J+j depends only on request
+    b's user/context and its item j.
     """
-    if item_ids.ndim != 3 or not user_ids.shape[0] == context_ids.shape[0] == item_ids.shape[0]:
-        raise UsageError("base_module_forward needs [B, 2], [B, 4] and [B, J, 2] ids")
-    b, j = item_ids.shape[0], item_ids.shape[1]
-    u = _embed_concat(params, USER_FIELDS, user_ids)
-    c = _embed_concat(params, CONTEXT_FIELDS, context_ids)
-    i = _embed_concat(params, ITEM_FIELDS, item_ids)
-    uc = ad.repeat_rows(ad.concat([u, c], axis=1), j)
-    x = ad.concat([uc, i], axis=1)
+    shapes = (user.shape, context.shape, items.shape)
+    if any(len(s) != 2 for s in shapes) or user.shape[0] != context.shape[0] or items.shape[0] % user.shape[0]:
+        raise UsageError(f"base_module_forward needs [B, U], [B, C] and [B*J, I] embeddings, got {shapes}")
+    uc = ad.repeat_rows(ad.concat([user, context], axis=1), items.shape[0] // user.shape[0])
+    x = ad.concat([uc, items], axis=1)
     for li in range(len(params.config.mlp_hidden)):
         x = ad.relu(_affine(params, f"base.{li}", x))
     return x
@@ -494,19 +494,8 @@ def combination_forward(
 # -- variant pipelines --------------------------------------------------------
 
 
-def _din_item_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
-    """Base output concatenated with item-queried pooling of the flat history."""
-    cfg = params.config
-    b, j = prep.size, prep.num_items
-    base = base_module_forward(params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1))
-    item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
-    seq_emb = ad.reshape(behavior_embedding(params, prep.flat_ids), (b, cfg.max_len, cfg.behavior_dim))
-    agg = interest_aggregation(params, seq_emb, prep.flat_mask, item_vec)
-    return ad.concat([base, agg], axis=1)
-
-
-def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
-    """Per-position representations.
+def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch, context: Tensor, items: Tensor) -> Tensor:
+    """Per-position representations from context [B, context_dim] and items [B*J, item_dim].
 
     Returns [B*K, d_model], or [B*J*K, d_model] ordered (request, item,
     position) when the variant reruns the interaction stage per candidate:
@@ -518,12 +507,11 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch) -> Tensor:
     b, j, k, seq_len = prep.size, prep.num_items, cfg.max_position, cfg.max_len
     m = j if spec.history == PER_CANDIDATE else 1  # queries per position sequence
     # rows run in (request, position, query) order
-    ctx_groups = ad.repeat_rows(_embed_concat(params, CONTEXT_FIELDS, prep.context_ids), k * m)
+    ctx_groups = ad.repeat_rows(context, k * m)
     query, item_groups = ctx_groups, None
     if spec.history == PER_CANDIDATE:
         request, _, candidate = np.unravel_index(np.arange(b * k * m), (b, k, m))
-        item_vec = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
-        item_groups = ad.gather_rows(item_vec, request * j + candidate)
+        item_groups = ad.gather_rows(items, request * j + candidate)
         query = ad.concat([ctx_groups, item_groups], axis=1)
 
     seq_emb = ad.reshape(behavior_embedding(params, prep.seq_ids), (b * k, seq_len, cfg.behavior_dim))
@@ -554,21 +542,28 @@ def score_displayed(
         if prep.positions is None:
             raise UsageError("score_displayed needs logged positions")
         positions = prep.positions
-    b, j, k = prep.size, prep.num_items, params.config.max_position
+    cfg = params.config
+    b, j, k = prep.size, prep.num_items, cfg.max_position
     positions = np.asarray(positions)
     if positions.ndim not in (1, 2) or positions.shape[0] != b * j:
         raise UsageError(f"score_displayed needs [{b * j}] or [{b * j}, P] positions, got {positions.shape}")
     slots = 1 if positions.ndim == 1 else positions.shape[1]
     positions = positions.reshape(-1)
 
+    user = _embed_concat(params, USER_FIELDS, prep.user_ids)
+    context = _embed_concat(params, CONTEXT_FIELDS, prep.context_ids)
+    items = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
+    item_rep = base_module_forward(params, user, context, items)
+    position_rep = None
     if spec.history == FLAT_HISTORY:
-        item_rep, position_rep = _din_item_rep(params, prep), None
+        # DIN: the flat history pooled against each candidate's item embedding
+        flat = ad.reshape(behavior_embedding(params, prep.flat_ids), (b, cfg.max_len, cfg.behavior_dim))
+        item_rep = ad.concat([item_rep, interest_aggregation(params, flat, prep.flat_mask, items)], axis=1)
     else:
-        item_rep = base_module_forward(params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(b, j, -1))
         # the block of K position rows each candidate reads: its own, or its request's
         owner = np.arange(b * j) if spec.history == PER_CANDIDATE else np.repeat(np.arange(b), j)
         row_idx = np.repeat(owner, slots) * k + (positions - 1)
-        position_rep = ad.gather_rows(_dpin_position_rep(params, prep), row_idx)
+        position_rep = ad.gather_rows(_dpin_position_rep(params, prep, context, items), row_idx)
 
     if spec.head == COMBINATION:
         return combination_forward(params, ad.repeat_rows(item_rep, slots), position_rep, positions)

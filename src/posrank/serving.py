@@ -3,8 +3,7 @@
 The allocator walks positions top to bottom and gives each slot the
 unassigned candidate with the highest CTR x bid there (ties to the lowest
 candidate index). That greedy order is not always the true optimum over
-one-to-one assignments, so an exhaustive oracle is included for small
-instances; greedy never exceeds it.
+one-to-one assignments.
 
 The benchmark times the full predict-then-allocate path per request,
 single-threaded, after warm-up, reporting median and p95 over >= 30 trials.
@@ -12,7 +11,6 @@ single-threaded, after warm-up, reporting median and p95 over >= 30 trials.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -25,7 +23,6 @@ from .model import ModelConfig, ParameterSet, predict_matrix
 __all__ = [
     "Allocation",
     "greedy_allocate",
-    "exhaustive_allocate",
     "allocate_request",
     "synthetic_request",
     "LatencyRow",
@@ -102,29 +99,6 @@ def greedy_allocate(matrix: np.ndarray, bids: np.ndarray) -> Allocation:
         slots.append((pos, best))
         total += float(matrix[best, pos - 1] * bids[best])
     return Allocation(slots=slots, total_value=total)
-
-
-def exhaustive_allocate(matrix: np.ndarray, bids: np.ndarray) -> Allocation:
-    """True maximizer of the summed expected value over injective assignments.
-
-    Guarded to min(J, K) <= 8 slots; intended as a correctness oracle.
-    """
-    matrix, bids = _check_instance(matrix, bids)
-    n_items, n_pos = matrix.shape
-    n_slots = min(n_items, n_pos)
-    if n_slots > 8:
-        raise UsageError(f"exhaustive_allocate is limited to 8 slots, got {n_slots}")
-    ecpm = matrix * bids[:, None]
-    best_value = -np.inf
-    best_perm: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n_items), n_slots):
-        value = sum(ecpm[cand, pos] for pos, cand in enumerate(perm))
-        if value > best_value:
-            best_value = value
-            best_perm = perm
-    assert best_perm is not None
-    slots = [(pos + 1, cand) for pos, cand in enumerate(best_perm)]
-    return Allocation(slots=slots, total_value=float(best_value))
 
 
 def allocate_request(params: ParameterSet, request: Request) -> tuple[Allocation, np.ndarray]:

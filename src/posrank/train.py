@@ -22,9 +22,7 @@ from .model import (
     ParameterSet,
     build_model,
     evaluation_positions,
-    load_checkpoint,
     prepare_batch,
-    save_checkpoint,
     score_displayed,
 )
 
@@ -36,8 +34,6 @@ __all__ = [
     "train",
     "evaluate",
     "score_requests",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -186,8 +182,6 @@ def train(
                 loss = ad.binary_cross_entropy(p, prep.clicks)
             except NumericError as exc:
                 raise NumericError(f"non-finite loss in epoch {epoch}, batch {batch_index}: {exc}") from exc
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite loss in epoch {epoch}, batch {batch_index}")
             ad.backward(loss)
             grads = {
                 name: t.grad for name, t in params.tensors.items() if t.grad is not None

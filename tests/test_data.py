@@ -1,7 +1,7 @@
 """Vocabularies, TSV round-trips of logs and report rows, and behavior sequence construction."""
 
 import math
-from dataclasses import fields, make_dataclass
+from dataclasses import fields, make_dataclass, replace
 
 import numpy as np
 import pytest
@@ -185,6 +185,15 @@ class TestFileRoundTrip:
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], "", lines[1], "  ", lines[2], ""]) + "\n", encoding="utf-8")
         assert read_tsv(path, RawBehavior) == [row, row]
+
+    @pytest.mark.parametrize("bad", ["i\tA", "i\nA", "i\rA", "i\r\nA"], ids=["tab", "lf", "cr", "crlf"])
+    def test_tab_or_line_break_in_a_value_rejected_before_writing(self, tmp_path, bad):
+        # written verbatim, the value splits its row and `read_tsv` rejects the file
+        path = tmp_path / "behaviors.tsv"
+        row = RawBehavior("u1", 5, 2, "iA", "c1", "q1", "g1", "12", "3")
+        with pytest.raises(UsageError, match=r"RawBehavior\.item_id of rows\[1\]"):
+            write_tsv(path, RawBehavior, [row, replace(row, item_id=bad)])
+        assert not path.exists()
 
     @pytest.mark.parametrize("kind", [bool, float | None, list[int]], ids=["bool", "optional", "list"])
     def test_only_int_float_and_str_columns(self, tmp_path, kind):

@@ -8,7 +8,14 @@ import pytest
 
 import posrank.autodiff as ad
 from posrank.autodiff import Tensor
-from posrank.data import VOCAB_FIELDS, build_position_behavior_sequences
+from posrank.data import (
+    CONTEXT_FIELDS,
+    HISTORY_COLUMNS,
+    ITEM_FIELDS,
+    USER_FIELDS,
+    VOCAB_FIELDS,
+    build_position_behavior_sequences,
+)
 from posrank.errors import FormatError, UsageError
 from posrank.model import (
     VARIANTS,
@@ -109,48 +116,41 @@ class TestBuildModel:
         assert sum(t.data.size for t in params.tensors.values()) == expected
 
 
+def _zeros(*shape) -> Tensor:
+    return Tensor(np.zeros(shape))
+
+
 class TestBaseModule:
     def test_single_item_matches_row_in_batch_bitwise(self):
         cfg = tiny_config()
         params = build_model(cfg, "DPIN", seed=1)
         rng = np.random.default_rng(0)
-        user = rng.integers(0, 12, size=(1, 2))
-        ctx = rng.integers(0, 12, size=(1, 4))
-        items = rng.integers(0, 12, size=(1, 5, 2))
-        full = base_module_forward(params, user, ctx, items)
+        user = Tensor(rng.normal(size=(1, cfg.user_dim)))
+        ctx = Tensor(rng.normal(size=(1, cfg.context_dim)))
+        items = rng.normal(size=(5, cfg.item_dim))
+        full = base_module_forward(params, user, ctx, Tensor(items))
         for j in range(5):
-            alone = base_module_forward(params, user, ctx, items[:, j : j + 1, :])
+            alone = base_module_forward(params, user, ctx, Tensor(items[j : j + 1]))
             assert alone.data[0].tobytes() == full.data[j].tobytes()
 
     def test_zero_embeddings_give_zero_representation(self):
         cfg = tiny_config()
         params = build_model(cfg, "DPIN", seed=1)
-        for name in params.names():
-            if name.startswith("embed."):
-                params.tensors[name].data[:] = 0.0
-        out = base_module_forward(
-            params,
-            np.zeros((1, 2), dtype=np.int64),
-            np.zeros((1, 4), dtype=np.int64),
-            np.zeros((1, 3, 2), dtype=np.int64),
-        )
+        out = base_module_forward(params, _zeros(1, cfg.user_dim), _zeros(1, cfg.context_dim), _zeros(3, cfg.item_dim))
         np.testing.assert_array_equal(out.data, np.zeros((3, cfg.item_rep_dim)))
 
-    def test_items_without_a_request_axis_rejected(self):
-        params = build_model(tiny_config(), "DPIN", seed=1)
-        user, ctx = np.zeros((1, 2), dtype=np.int64), np.zeros((1, 4), dtype=np.int64)
-        with pytest.raises(UsageError, match=r"\[B, J, 2\]"):
-            base_module_forward(params, user, ctx, np.zeros((3, 2), dtype=np.int64))
+    def test_items_that_do_not_split_over_the_requests_rejected(self):
+        cfg = tiny_config()
+        params = build_model(cfg, "DPIN", seed=1)
+        user, ctx = _zeros(2, cfg.user_dim), _zeros(2, cfg.context_dim)
+        for items in (_zeros(3, cfg.item_dim), _zeros(2, 3, cfg.item_dim)):
+            with pytest.raises(UsageError, match=r"\[B\*J, I\]"):
+                base_module_forward(params, user, ctx, items)
 
     def test_desk_output_dim(self):
         cfg = desk_config()
         params = build_model(cfg, "DPIN", seed=0)
-        out = base_module_forward(
-            params,
-            np.zeros((1, 2), dtype=np.int64),
-            np.zeros((1, 4), dtype=np.int64),
-            np.zeros((1, 2, 2), dtype=np.int64),
-        )
+        out = base_module_forward(params, _zeros(1, cfg.user_dim), _zeros(1, cfg.context_dim), _zeros(2, cfg.item_dim))
         assert out.shape == (2, 16)
 
 
@@ -517,14 +517,15 @@ class TestPredictMatrix:
         params = build_model(cfg, "DPIN", seed=9)
         req = synthetic_request(cfg, 4, seed=16)
         matrix = predict_matrix(params, req)
-        from posrank.model import _dpin_position_rep
+        from posrank.model import _dpin_position_rep, _embed_concat
 
         prep = prepare_batch([req], cfg)
         with ad.no_grad():
-            base = base_module_forward(
-                params, prep.user_ids, prep.context_ids, prep.item_ids.reshape(1, 4, -1)
-            )
-            r_pos = _dpin_position_rep(params, prep)
+            user = _embed_concat(params, USER_FIELDS, prep.user_ids)
+            ctx = _embed_concat(params, CONTEXT_FIELDS, prep.context_ids)
+            items = _embed_concat(params, ITEM_FIELDS, prep.item_ids)
+            base = base_module_forward(params, user, ctx, items)
+            r_pos = _dpin_position_rep(params, prep, ctx, items)
             for j in range(4):
                 for k in range(1, cfg.max_position + 1):
                     single = combination_forward(
@@ -578,6 +579,41 @@ class TestPredictMatrix:
         prep = prepare_batch([labeled_request(cfg, seed=17)], cfg)
         with pytest.raises(UsageError, match="positions"):
             score_displayed(params, prep, np.ones(cfg.max_position + 1, dtype=np.int64))
+
+
+def _corrupt_ids(req, cfg: ModelConfig, case: str, variant: str) -> None:
+    """Put one id outside its vocabulary into `req`, where `variant` reads it."""
+    vocab = cfg.vocab_sizes
+    if case == "item_at_vocab_size":
+        req.candidates[1].item_ids = (vocab["item_id"], 1)
+    elif case == "negative_item":
+        req.candidates[1].item_ids = (-1, 1)
+    elif case == "user_at_vocab_size":
+        req.user_ids = (vocab["user_id"], 1)
+    elif case == "context_at_vocab_size":
+        req.context_ids = (1, vocab["geo"], 1, 1)
+    else:  # one clicked item in the history the variant reads
+        history = req.sequences.flat if variant == "DIN" else req.sequences.records
+        history[0, HISTORY_COLUMNS.index("item_id")] = vocab["item_id"]
+
+
+class TestOutOfVocabularyIds:
+    @pytest.mark.parametrize(
+        "case",
+        ["item_at_vocab_size", "negative_item", "user_at_vocab_size", "context_at_vocab_size", "history_at_vocab_size"],
+    )
+    @pytest.mark.parametrize("variant", ["DIN", "DPIN", "DPIN+ItemAction"])
+    def test_an_id_outside_its_vocabulary_is_a_usage_error(self, variant, case):
+        cfg = tiny_config()
+        params = build_model(cfg, variant, seed=4)
+        req = labeled_request(cfg, seed=31)
+        predict_matrix(params, req)
+        score_displayed(params, prepare_batch([req], cfg))
+        _corrupt_ids(req, cfg, case, variant)
+        with pytest.raises(UsageError, match="out of range"):
+            predict_matrix(params, req)
+        with pytest.raises(UsageError, match="out of range"):
+            score_displayed(params, prepare_batch([req], cfg))
 
 
 def _reseal(blob: bytes) -> bytes:

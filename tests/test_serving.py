@@ -6,15 +6,10 @@ import pytest
 from posrank.data import HISTORY_COLUMNS, TIME_BUCKETS
 from posrank.errors import UsageError
 from posrank.model import build_model, predict_matrix
-from posrank.serving import (
-    allocate_request,
-    benchmark_latency,
-    exhaustive_allocate,
-    greedy_allocate,
-    synthetic_request,
-)
+from posrank.serving import allocate_request, benchmark_latency, greedy_allocate, synthetic_request
 
 from conftest import tiny_config
+from verifiers import exhaustive_allocate
 
 
 class TestGreedy:

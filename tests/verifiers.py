@@ -1,15 +1,18 @@
 """Independent verifiers the tests compare the package against.
 
 `auc_oracle` counts AUC pairs explicitly; `gradient_check` compares the
-tape's gradients with central finite differences.
+tape's gradients with central finite differences; `exhaustive_allocate`
+enumerates every slot assignment of a small instance.
 """
 
+import itertools
 from typing import Callable, Mapping
 
 import numpy as np
 
 from posrank.autodiff import Tensor, backward
 from posrank.errors import NumericError, UndefinedMetricError, UsageError
+from posrank.serving import Allocation, _check_instance
 
 
 def auc_oracle(scores, labels) -> float:
@@ -73,3 +76,26 @@ def gradient_check(
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+def exhaustive_allocate(matrix: np.ndarray, bids: np.ndarray) -> Allocation:
+    """True maximizer of the summed expected value over injective assignments.
+
+    Guarded to min(J, K) <= 8 slots; intended as a correctness oracle.
+    """
+    matrix, bids = _check_instance(matrix, bids)
+    n_items, n_pos = matrix.shape
+    n_slots = min(n_items, n_pos)
+    if n_slots > 8:
+        raise UsageError(f"exhaustive_allocate is limited to 8 slots, got {n_slots}")
+    ecpm = matrix * bids[:, None]
+    best_value = -np.inf
+    best_perm: tuple[int, ...] | None = None
+    for perm in itertools.permutations(range(n_items), n_slots):
+        value = sum(ecpm[cand, pos] for pos, cand in enumerate(perm))
+        if value > best_value:
+            best_value = value
+            best_perm = perm
+    assert best_perm is not None
+    slots = [(pos + 1, cand) for pos, cand in enumerate(best_perm)]
+    return Allocation(slots=slots, total_value=float(best_value))

@@ -1,0 +1,80 @@
+"""Byte-identity digests of every variant: initial tensors, served matrices, trained tensors.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/digests.py --seed 0
+
+Builds each of the eight variants at the desk `ModelConfig` (64 ids per
+vocabulary field) and prints one JSON object mapping each variant to
+sha256 digests (first 16 hex digits) of:
+
+* `init`: its initial tensors;
+* `predict_J1`, `predict_J7`, `predict_J30`: `predict_matrix` on a
+  synthetic request with 1, 7 and 30 candidates;
+* `trained` and `losses`: its tensors and per-epoch training losses after
+  2 epochs of `train` on 24 labelled synthetic requests.
+
+The package comes from PYTHONPATH, so one copy of this script compares the
+sources of any two checkouts: equal digests mean equal bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+
+import numpy as np
+
+from posrank.data import VOCAB_FIELDS
+from posrank.model import VARIANTS, ModelConfig, ParameterSet, build_model, predict_matrix
+from posrank.serving import synthetic_request
+from posrank.train import TrainConfig, train
+
+ITEM_COUNTS = (1, 7, 30)
+TRAIN_REQUESTS = 24
+TRAIN_CONFIG = dict(batch_size=60, epochs=2, learning_rate=3e-3)
+
+
+def digest(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def tensors_digest(params: ParameterSet) -> str:
+    return digest(*(params.tensors[name].data for name in params.names()))
+
+
+def labelled_requests(cfg: ModelConfig, seed: int) -> list:
+    """Synthetic requests whose K candidates are displayed at slots 1..K with seeded clicks."""
+    requests = []
+    for i in range(TRAIN_REQUESTS):
+        req = synthetic_request(cfg, cfg.max_position, seed=[seed, 1, i])
+        rng = np.random.default_rng([seed, 2, i])
+        req.positions = list(range(1, cfg.max_position + 1))
+        req.clicks = [int(c) for c in rng.random(cfg.max_position) < 0.3]
+        requests.append(req)
+    return requests
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    cfg = ModelConfig(vocab_sizes={f: 64 for f in VOCAB_FIELDS})
+    requests = labelled_requests(cfg, args.seed)
+    out = {}
+    for variant in VARIANTS:
+        params = build_model(cfg, variant, args.seed)
+        row = {"init": tensors_digest(params)}
+        for j in ITEM_COUNTS:
+            row[f"predict_J{j}"] = digest(predict_matrix(params, synthetic_request(cfg, j, seed=[args.seed, 0, j])))
+        trained, history = train(requests, cfg, variant, TrainConfig(seed=args.seed, **TRAIN_CONFIG))
+        row["trained"] = tensors_digest(trained)
+        row["losses"] = digest(np.array([e.train_loss for e in history.epochs]))
+        out[variant] = row
+    print(json.dumps(out, indent=1))
+
+
+if __name__ == "__main__":
+    main()
