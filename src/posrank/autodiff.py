@@ -30,6 +30,22 @@ shape keep every row's bits is measured behaviour of OpenBLAS 0.3.31 with
 one or two threads, not a documented BLAS guarantee; ``TestRowStableKernels``
 guards it up to k = 1,200, n = 700 and 90 rows.
 
+``additive_scores`` is one fused op for DIN's activation unit, ``relu(r[:,
+None] + q[:, :, None]) @ w`` over records r [n, L, h] and queries q [n, m,
+h]. Built whole, its hidden layer [n, m, L, h] dwarfs everything else the
+attention holds (a paper-scale DPIN+ItemAction request at J = 50 has 192 MB
+of it). The op builds it in blocks of whole sequences of at most
+``_SCORE_BLOCK`` floats in one reused buffer, sums and ReLUs each block in
+place and scores it with the per-row (n == 1) kernel above, so every score
+keeps the bits of the unfused product; a sequence larger than a block is
+a block of its own. Why 2^17 floats (1 MiB): scoring a 64-request desk
+DPIN+ItemAction batch (J = 12, 11 sequences per block) took 108-115 ms at
+2^13 to 2^17 (medians over 6 interleaved rounds, within the host's noise)
+and 120-130 ms at 2^19 and 2^21; 2^17 is the largest fast size, so it runs
+the fewest Python iterations. At paper scale one sequence (192,000 floats
+at J = 10) already exceeds it. The VJP rebuilds the hidden layer whole
+once.
+
 Gradients are built lazily: each op records its parents and a vector-
 Jacobian closure; ``backward`` walks the tape in reverse topological
 order. Wrap inference code in ``no_grad()`` to skip tape construction.
@@ -70,6 +86,8 @@ def no_grad():
 
 # rows per BLAS call in matmul and bmm (see the module docstring)
 _BLOCK = 8
+# floats of hidden layer per block in additive_scores (see the module docstring)
+_SCORE_BLOCK = 1 << 17
 
 
 def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -378,6 +396,55 @@ def softmax(a: Tensor) -> Tensor:
         return (out * (g - dot),)
 
     return _make(out, (a,), vjp)
+
+
+def additive_scores(records: Tensor, queries: Tensor, w: Tensor) -> Tensor:
+    """relu(records[:, None] + queries[:, :, None]) @ w, never holding the hidden layer whole.
+
+    records [n, L, h], queries [n, m, h], w [h, 1] -> [n, m, L]: entry
+    (i, j, l) scores record l of sequence i against its query j. The
+    [n, m, L, h] hidden layer is built, ReLU'd in place and scored in blocks
+    of whole sequences of at most `_SCORE_BLOCK` floats (see the module
+    docstring), each through the per-row kernel of `matmul` with w, so every
+    score has the bits of the unfused `matmul(relu(r + q), w)`. The VJP
+    rebuilds the hidden layer whole once and returns the unfused gradients:
+    the records' and queries' are its sums over m and L, w's the single
+    product hidden.T @ g.
+    """
+    records, queries, w = _coerce(records), _coerce(queries), _coerce(w)
+    shapes = f"records {records.shape}, queries {queries.shape}, w {w.shape}"
+    if records.ndim != 3 or queries.ndim != 3 or queries.shape[::2] != records.shape[::2]:
+        raise UsageError(f"additive_scores needs [n, L, h] records and [n, m, h] queries, got {shapes}")
+    if w.shape != (records.shape[2], 1):
+        raise UsageError(f"additive_scores needs an [h, 1] weight, got {shapes}")
+    n, seq_len, h = records.shape
+    m = queries.shape[1]
+
+    def hidden(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.add(records.data[lo:hi, None], queries.data[lo:hi, :, None], out=out)
+        return np.maximum(out, 0.0, out=out)
+
+    data = np.empty((n, m, seq_len))
+    per_sequence = m * seq_len * h
+    step = max(1, _SCORE_BLOCK // max(1, per_sequence))
+    buf = np.empty(min(step, n) * per_sequence)  # every block reuses this memory
+    for lo in range(0, n, step):
+        nb = min(step, n - lo)
+        block = hidden(lo, lo + nb, buf[: nb * per_sequence].reshape(nb, m, seq_len, h))
+        data[lo : lo + nb] = _row_stable_matmul(block.reshape(-1, h), w.data).reshape(nb, m, seq_len)
+
+    def vjp(g):
+        hid = hidden(0, n)
+        rows = g.reshape(-1, 1)
+        g_hid = (rows @ w.data.swapaxes(-1, -2)).reshape(hid.shape)
+        g_hid *= hid > 0.0
+        return (
+            _unbroadcast(g_hid, (n, 1, seq_len, h)).reshape(records.shape),
+            _unbroadcast(g_hid, (n, m, 1, h)).reshape(queries.shape),
+            hid.reshape(-1, h).swapaxes(-1, -2) @ rows,
+        )
+
+    return _make(data, (records, queries, w), vjp)
 
 
 LAYER_NORM_EPS = 1e-6  # added to the variance before its square root

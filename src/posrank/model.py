@@ -30,7 +30,9 @@ which scores each sequence against all of its queries at once: DIN pools a
 request's flat history against its J item queries, DPIN each position
 sequence against the request context, and `DPIN+ItemAction` each position
 sequence against J (context, item) queries - J queries per sequence, not J
-copies of the history.
+copies of the history. Records and queries meet block by block in
+`autodiff.additive_scores`, so the [N, M, L, d_model] hidden layer of the
+attention is never held whole.
 
 Tensor names say a parameter's role, not its variant. Affine layer `name`
 owns weight `name.w` and bias `name.b`: `base.{i}`, the one attention's
@@ -392,6 +394,24 @@ def base_module_forward(params: ParameterSet, user: Tensor, context: Tensor, ite
     return x
 
 
+def _attention_logits(params: ParameterSet, seq_embeddings: Tensor, query: Tensor) -> Tensor:
+    """`att.score` of ReLU(`att.hidden` of [record, query]) -> [N, M, L] (see `interest_aggregation`).
+
+    Its projections and the unmasked scores die with the call, before the
+    softmax and the pooling allocate theirs.
+    """
+    n, seq_len, dim = seq_embeddings.shape
+    m = query.shape[0] // n
+    wa = params.tensors["att.hidden.w"]
+    records = ad.matmul(ad.reshape(seq_embeddings, (n * seq_len, dim)), ad.gather_rows(wa, np.arange(dim)))
+    queries = ad.matmul(query, ad.gather_rows(wa, np.arange(dim, wa.shape[0]))) + params.tensors["att.hidden.b"]
+    scores = ad.additive_scores(
+        ad.reshape(records, (n, seq_len, -1)), ad.reshape(queries, (n, m, -1)), params.tensors["att.score.w"]
+    )
+    # the bias goes on as an affine layer adds it, to one logit per row
+    return ad.reshape(ad.reshape(scores, (n * m * seq_len, 1)) + params.tensors["att.score.b"], (n, m, seq_len))
+
+
 def interest_aggregation(
     params: ParameterSet,
     seq_embeddings: Tensor,
@@ -404,24 +424,19 @@ def interest_aggregation(
     with rows n*M .. n*M+M-1 querying sequence n -> [N*M, D]. A record's
     attention logit is `att.score` of ReLU(`att.hidden` of [record, query]):
     records and queries are projected once each, through their row blocks
-    of `att.hidden.w` (the bias rides on the query rows), and meet by
-    broadcasting, so no sequence is copied per query. Padding slots get
-    zero weight; an all-padding sequence pools to zeros.
+    of `att.hidden.w` (the bias rides on the query rows), and meet block by
+    block in `autodiff.additive_scores`, so no sequence is copied per query
+    and the [N, M, L, d_model] hidden layer is never held whole. Padding
+    slots get zero weight; an all-padding sequence pools to zeros.
     """
     n, seq_len, dim = seq_embeddings.shape
     if query.ndim != 2 or query.shape[0] % n:
         raise UsageError(f"interest_aggregation: {query.shape} queries do not split over {n} sequences")
-    m = query.shape[0] // n
-    wa, ba = params.tensors["att.hidden.w"], params.tensors["att.hidden.b"]
-    record_part = ad.matmul(ad.reshape(seq_embeddings, (n * seq_len, dim)), ad.gather_rows(wa, np.arange(dim)))
-    query_part = ad.matmul(query, ad.gather_rows(wa, np.arange(dim, wa.shape[0]))) + ba
-    hidden = ad.relu(ad.reshape(record_part, (n, 1, seq_len, -1)) + ad.reshape(query_part, (n, m, 1, -1)))
-    logits = _affine(params, "att.score", ad.reshape(hidden, (n * m * seq_len, -1)))
     # padding slots get an additive -1e9 so their softmax weight underflows to 0
-    logits = ad.reshape(logits, (n, m, seq_len)) + Tensor((1.0 - mask)[:, None, :] * _MASK_OFF)
+    logits = _attention_logits(params, seq_embeddings, query) + Tensor((1.0 - mask)[:, None, :] * _MASK_OFF)
     has_any = (mask.sum(axis=1) > 0).astype(np.float64)[:, None, None]
     pooled = ad.bmm(ad.softmax(logits), seq_embeddings) * Tensor(has_any)
-    return ad.reshape(pooled, (n * m, dim))
+    return ad.reshape(pooled, (query.shape[0], dim))
 
 
 def position_interaction(

@@ -48,6 +48,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise UsageError("batch_size and epochs must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.eval_every < 0:
+            raise UsageError(f"eval_every must be >= 0 (0 disables validation), got {self.eval_every}")
 
 
 @dataclass

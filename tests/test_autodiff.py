@@ -252,6 +252,7 @@ def _op_cases():
     c_gather = rng.normal(size=(6, 3))
     c_perm = rng.normal(size=(4, 2, 5, 3))
     c_cat = rng.normal(size=(2, 9))
+    c_att = np.random.default_rng(8).normal(size=(3, 2, 5))  # its own stream: the other cases keep their draws
     return [
         ("matmul", {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))},
          lambda t: ad.total_sum(ad.matmul(t["a"], t["b"]))),
@@ -284,6 +285,9 @@ def _op_cases():
          lambda t: ad.total_sum(ad.transpose(t["x"], (2, 0, 3, 1)) * c_perm)),
         ("bce", {"logits": rng.normal(size=8)},
          lambda t: ad.binary_cross_entropy(ad.sigmoid(t["logits"]), labels)),
+        ("additive_scores",
+         {"r": rng.normal(size=(3, 5, 4)), "q": rng.normal(size=(3, 2, 4)), "w": rng.normal(size=(4, 1))},
+         lambda t: ad.total_sum(ad.additive_scores(t["r"], t["q"], t["w"]) * c_att)),
     ]
 
 
@@ -537,3 +541,60 @@ class TestRowStableKernels:
         out = ad.bmm(Tensor(np.ones((nb, m, k))), Tensor(np.ones((nb, k, n)))).data
         assert out.shape == (nb, m, n)
         assert out.tobytes() == np.zeros((nb, m, n)).tobytes()
+
+
+def _unfused_scores(r: Tensor, q: Tensor, w: Tensor) -> Tensor:
+    """The composition `additive_scores` fuses: a broadcast sum, its ReLU, one matmul."""
+    n, seq_len, h = r.shape
+    m = q.shape[1]
+    hidden = ad.relu(ad.reshape(r, (n, 1, seq_len, h)) + ad.reshape(q, (n, m, 1, h)))
+    return ad.reshape(ad.matmul(ad.reshape(hidden, (n * m * seq_len, h)), w), (n, m, seq_len))
+
+
+def _scores_and_grads(op, r, q, w, c):
+    leaves = [Tensor(x, requires_grad=True) for x in (r, q, w)]
+    out = op(*leaves)
+    ad.backward(ad.total_sum(out * c))
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestAdditiveScores:
+    """The fused op is the unfused composition, byte for byte, in blocks of whole sequences."""
+
+    @_KERNEL_SETTINGS
+    @given(
+        m=st.one_of(st.just(1), st.integers(2, 12)), seq_len=st.integers(1, 40), h=st.integers(1, 40),
+        blocks=st.integers(1, 3), extra=st.floats(0, 1), seed=st.integers(0, 2**32 - 1),
+    )
+    # a sequence larger than a block: every block holds one sequence
+    @example(m=8, seq_len=300, h=64, blocks=3, extra=0.0, seed=0)
+    # DPIN's desk shape: one query per sequence, 136 sequences per block
+    @example(m=1, seq_len=30, h=32, blocks=3, extra=0.5, seed=1)
+    def test_forward_and_gradients_equal_the_composition(self, m, seq_len, h, blocks, extra, seed):
+        per_block = max(1, ad._SCORE_BLOCK // (m * seq_len * h))
+        n = per_block * (blocks - 1) + max(1, int(extra * per_block))  # spans `blocks` blocks
+        rng = np.random.default_rng(seed)
+        r, q = rng.normal(size=(n, seq_len, h)), rng.normal(size=(n, m, h))
+        w, c = rng.normal(size=(h, 1)), rng.normal(size=(n, m, seq_len))
+        fused = _scores_and_grads(ad.additive_scores, r, q, w, c)
+        unfused = _scores_and_grads(_unfused_scores, r, q, w, c)
+        for name, got, want in zip(("scores", "records", "queries", "w"), fused, unfused):
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        # a sequence scored inside the batch has the bits it has alone
+        i = int(rng.integers(n))
+        alone = ad.additive_scores(Tensor(r[i : i + 1]), Tensor(q[i : i + 1]), Tensor(w)).data
+        assert alone.tobytes() == fused[0][i : i + 1].tobytes()
+
+    @pytest.mark.parametrize(
+        "r,q,w",
+        [
+            ((2, 3, 4), (3, 5, 4), (4, 1)),  # sequence counts differ
+            ((2, 3, 4), (2, 5, 3), (4, 1)),  # hidden widths differ
+            ((2, 3, 4), (2, 5, 4), (4, 2)),  # more than one score per row
+            ((6, 4), (2, 5, 4), (4, 1)),  # records without a sequence axis
+        ],
+    )
+    def test_incompatible_shapes_rejected(self, r, q, w):
+        with pytest.raises(UsageError, match="additive_scores"):
+            ad.additive_scores(Tensor(np.ones(r)), Tensor(np.ones(q)), Tensor(np.ones(w)))

@@ -1,6 +1,7 @@
 """Model zoo contracts: shapes, variant semantics, bit-level reproducibility."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -251,6 +252,27 @@ class TestInterestAggregation:
         params, emb, mask, query = self._many_queries()
         with pytest.raises(UsageError, match="queries"):
             interest_aggregation(params, emb, mask, Tensor(query.data[:-1]))
+
+    def test_inference_never_holds_the_hidden_layer_whole(self):
+        # an evaluation batch of 12 DPIN+ItemAction requests at J = 20: 120
+        # position sequences, each queried by its request's 20 candidates
+        cfg = desk_config()
+        params = build_model(cfg, "DPIN+ItemAction", seed=0)
+        n, m = 12 * cfg.max_position, 20
+        rng = np.random.default_rng(5)
+        emb = Tensor(rng.normal(size=(n, cfg.max_len, cfg.behavior_dim)))
+        query = Tensor(rng.normal(size=(n * m, cfg.context_dim + cfg.item_dim)))
+        mask = np.ones((n, cfg.max_len))
+        hidden_bytes = n * m * cfg.max_len * cfg.d_model * 8
+        assert hidden_bytes >= 8 * 2**20
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                interest_aggregation(params, emb, mask, query)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < hidden_bytes / 4, f"peak {peak / 2**20:.1f} MiB, hidden layer {hidden_bytes / 2**20:.1f} MiB"
 
 
 class TestPositionInteraction:

@@ -93,6 +93,25 @@ class TestTrainLoop:
         with pytest.raises(UsageError, match="test day"):
             train(requests, cfg, "DPIN", TrainConfig(epochs=1), test_day=4)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": -1.0},
+            {"learning_rate": 0.0},
+            {"eval_every": -1},
+        ],
+        ids=["lr_nan", "lr_inf", "lr_negative", "lr_zero", "eval_every_negative"],
+    )
+    def test_bad_config_rejected_before_training(self, bad):
+        cfg = tiny_config()
+        field = next(iter(bad))
+        with pytest.raises(UsageError, match=field):
+            TrainConfig(**bad).validate()
+        with pytest.raises(UsageError, match=field):
+            train(_toy_requests(cfg, 2), cfg, "DPIN", TrainConfig(epochs=1, **bad))
+
     def test_best_validation_checkpoint_is_returned(self):
         cfg = tiny_config()
         train_reqs = _toy_requests(cfg, 6)

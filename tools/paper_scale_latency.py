@@ -5,23 +5,36 @@
 Builds each variant at `model.paper_scale_config` with 2,000 ids per
 vocabulary field, times the predict-then-allocate path with
 `serving.benchmark_latency` (30 trials after 5 warm-ups per cell) and prints
-one JSON object mapping "variant J=n" to the median and p95 in ms. The
-package comes from PYTHONPATH, so one copy of this script can time the
-sources of any checkout.
+one JSON object mapping "variant J=n" to the median and p95 in ms and to
+the peak traced allocation (`tracemalloc`, in MiB) of one `predict_matrix`
+call on the cell's request, taken after the timing. The package comes from
+PYTHONPATH, so one copy of this script can time the sources of any checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import tracemalloc
 
 from posrank.data import VOCAB_FIELDS
-from posrank.model import build_model, paper_scale_config
-from posrank.serving import benchmark_latency
+from posrank.model import ParameterSet, build_model, paper_scale_config, predict_matrix
+from posrank.serving import benchmark_latency, synthetic_request
 
 VARIANTS = ("DIN", "DPIN", "DPIN+ItemAction")
 ITEM_COUNTS = (10, 50)
 IDS_PER_FIELD = 2_000
+
+
+def traced_peak_mib(params: ParameterSet, num_items: int, seed: int) -> float:
+    """Peak traced allocation of one `predict_matrix` on the request `benchmark_latency` times."""
+    request = synthetic_request(params.config, num_items, seed=[seed, num_items])
+    tracemalloc.start()
+    try:
+        predict_matrix(params, request)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -32,7 +45,11 @@ def main() -> None:
     params = {v: build_model(cfg, v, args.seed) for v in VARIANTS}
     table = benchmark_latency(params, list(ITEM_COUNTS), seed=args.seed)
     cells = {
-        f"{r.variant} J={r.num_items}": {"median_ms": r.median_us / 1e3, "p95_ms": r.p95_us / 1e3}
+        f"{r.variant} J={r.num_items}": {
+            "median_ms": r.median_us / 1e3,
+            "p95_ms": r.p95_us / 1e3,
+            "traced_peak_mib": traced_peak_mib(params[r.variant], r.num_items, args.seed),
+        }
         for r in table.rows
     }
     print(json.dumps(cells, indent=1))
