@@ -112,8 +112,9 @@ def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         padded[..., :m, :] = a
         a = padded
     # [..., m/8, 8, k] @ [..., 1, k, n]: numpy makes one [8,k] @ [k,n] gemm per block
-    out = np.matmul(a.reshape(lead + (rows // _BLOCK, _BLOCK, k)), b)
-    return out.reshape(lead + (rows, n))[..., :m, :]
+    out = np.matmul(a.reshape(lead + (rows // _BLOCK, _BLOCK, k)), b).reshape(lead + (rows, n))[..., :m, :]
+    # a batched slice would pin every element's padding rows: copy it out
+    return out.copy() if lead and rows != m else out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

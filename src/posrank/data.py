@@ -17,8 +17,10 @@ Click histories are int64 id arrays in one column order, `HISTORY_COLUMNS`:
 item_id, category, query, geo, hour, dow, time_bucket. `encode_history`
 gives each user one ts-ascending array of rows (ts, position, then the six
 vocabulary ids); `build_position_behavior_sequences` cuts it at a request's
-timestamp into `[n, 7]` rows (the six ids, then the recency bucket), one
-most-recent-first sequence per display position, stored back to back.
+timestamp into `[n, 7]` rows (the six ids, then the recency bucket), in
+K + 1 most-recent-first sequences stored back to back: sequence 0 is the
+position-blind history DIN reads, sequence k the clicks at position k that
+DPIN reads. No other code cuts a history to a model's K and L.
 """
 
 from __future__ import annotations
@@ -192,33 +194,30 @@ def time_bucket(delta_seconds):
 
 @dataclass
 class PositionBehaviorSequences:
-    """Per display position: the user's most recent clicks at that position.
+    """A request's recent clicks as K + 1 sequences, each most recent first.
 
-    `records` holds the sequences of positions 1..K back to back, `lengths[k-1]`
-    rows for position k, each most recent first and at most `max_len` long;
-    `flat` holds the most recent `max_len` clicks regardless of position. Rows
-    are in `HISTORY_COLUMNS` order. Clicks at or after `reference_ts` never
-    enter (leakage guard). `leaked` counts the user's clicks at exactly
-    `reference_ts`, i.e. the request's own clicks, which the guard keeps out.
-    A click belongs to one request, so a sum of `leaked` over requests counts
-    each click at most once.
+    `records` holds sequences 0..K back to back, `lengths[k]` rows for
+    sequence k, in `HISTORY_COLUMNS` order: sequence 0 is the position-blind
+    history, sequence k the clicks at display position k. Clicks at or after
+    `reference_ts` never enter (leakage guard). `leaked` counts the user's
+    clicks at exactly `reference_ts`, the request's own, which the guard
+    keeps out; a sum of `leaked` over requests counts each click at most once.
     """
 
     records: np.ndarray  # [R, 7]
-    lengths: np.ndarray  # [K]
-    flat: np.ndarray  # [F, 7]
+    lengths: np.ndarray  # [K + 1]
     leaked: int = 0
 
     @property
     def max_position(self) -> int:
-        return len(self.lengths)
+        return len(self.lengths) - 1
 
-    def at(self, position: int) -> np.ndarray:
-        """The `[n_k, 7]` sequence of `position`, most recent first."""
-        if not 1 <= position <= self.max_position:
-            raise UsageError(f"position {position} outside [1, {self.max_position}]")
-        start = int(self.lengths[: position - 1].sum())
-        return self.records[start : start + int(self.lengths[position - 1])]
+    def at(self, sequence: int) -> np.ndarray:
+        """The `[n, 7]` rows of `sequence`: 0 for the position-blind history, k for position k."""
+        if not 0 <= sequence <= self.max_position:
+            raise UsageError(f"sequence {sequence} outside [0, {self.max_position}]")
+        start = int(self.lengths[:sequence].sum())
+        return self.records[start : start + int(self.lengths[sequence])]
 
 
 # columns of an encoded history: ts, position, then the ids of HISTORY_COLUMNS[:-1]
@@ -252,14 +251,14 @@ def build_position_behavior_sequences(
     max_position: int,
     max_len: int,
 ) -> PositionBehaviorSequences:
-    """Split a user's click history into per-position sequences.
+    """Cut a user's click history into the position-blind and per-position sequences.
 
     `history` is one user's `encode_history` array, sorted by ts ascending.
-    An event logged at position k lands only in sequence k; events at other
-    positions are ignored. The most recent `max_len` events are kept per
-    position; events at or after `reference_ts` are excluded, and those at
-    exactly `reference_ts` are counted.
-    The result holds copies, so it does not keep `history` alive.
+    Events at or after `reference_ts` are excluded (those at exactly
+    `reference_ts` are counted), as are events outside positions
+    1..`max_position`. Sequence 0 keeps the most recent `max_len` events,
+    sequence k the most recent `max_len` logged at position k. The result
+    holds copies, so it does not keep `history` alive.
     """
     ts = history[:, _TS]
     cutoff = int(ts.searchsorted(reference_ts))
@@ -271,12 +270,15 @@ def build_position_behavior_sequences(
 
     # stable sort by position keeps each position's events most recent first
     order = past[:, _POSITION].argsort(kind="stable")
-    counts = np.bincount(past[:, _POSITION] - 1, minlength=max_position)
-    rank = np.arange(len(order)) - (counts.cumsum() - counts).repeat(counts)
+    counts = np.bincount(past[:, _POSITION], minlength=max_position + 1)  # counts[0] == 0
+    if counts.max() > max_len:  # keep each position's most recent max_len
+        rank = np.arange(len(order)) - (counts.cumsum() - counts).repeat(counts)
+        order = order[rank < max_len]
+    lengths = np.minimum(counts, max_len)
+    lengths[0] = min(len(past), max_len)
     return PositionBehaviorSequences(
-        records=rows[order[rank < max_len]],
-        lengths=np.minimum(counts, max_len),
-        flat=rows[:max_len].copy(),
+        records=rows[np.concatenate([np.arange(lengths[0]), order])],
+        lengths=lengths,
         leaked=int(ts.searchsorted(reference_ts, side="right")) - cutoff,
     )
 

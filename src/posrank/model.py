@@ -278,19 +278,19 @@ class PreparedBatch:
     user_ids: np.ndarray  # [B, 2]
     context_ids: np.ndarray  # [B, 4]
     item_ids: np.ndarray  # [B*J, 2], request-major
-    seq_ids: np.ndarray  # [B, K, L, 7] in HISTORY_COLUMNS order
-    seq_mask: np.ndarray  # [B, K, L] float 0/1
-    flat_ids: np.ndarray  # [B, L, 7]
-    flat_mask: np.ndarray  # [B, L] float 0/1
+    seq_ids: np.ndarray  # [B, K+1, L, 7], zero-padded: sequence 0 for DIN, 1..K for DPIN
+    seq_mask: np.ndarray  # [B, K+1, L] float 0/1
     positions: np.ndarray | None = None  # [B*J] logged display positions
     clicks: np.ndarray | None = None  # [B*J] float 0/1
 
 
 def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch:
-    """Stack requests into dense arrays, cutting histories to the model's K and L.
+    """Stack requests into dense arrays; histories must come cut to K + 1 sequences of <= L rows.
 
-    Logged labels are kept when every request carries them; a request must
-    then have one position in [1, K] and one click per candidate.
+    Nothing is cut here: `build_position_behavior_sequences` cuts a history
+    at the model's K and L. Logged labels are kept when every request
+    carries them; a request must then have one position in [1, K] and one
+    click per candidate.
     """
     if not requests:
         raise UsageError("prepare_batch needs at least one request")
@@ -299,24 +299,17 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
     n_items = requests[0].num_candidates
     if any(r.num_candidates != n_items for r in requests):
         raise UsageError("all requests in a batch must have the same candidate count")
-    if any(r.sequences.max_position < k_max for r in requests):
-        raise UsageError("request sequences cover fewer positions than the model expects")
+    if any(len(r.sequences.lengths) != k_max + 1 for r in requests):
+        raise UsageError(f"request histories must hold {k_max + 1} sequences: the position-blind one and K={k_max}")
+    lengths = np.array([r.sequences.lengths for r in requests])  # [B, K+1]
+    if lengths.max() > seq_len:
+        raise UsageError(f"a request history sequence is longer than the model's max_len={seq_len}")
 
     b = len(requests)
-    n_cols = len(HISTORY_COLUMNS)
-    steps = np.arange(seq_len)
-    seq_lengths = np.minimum([r.sequences.lengths[:k_max] for r in requests], seq_len)
-    seq_kept = steps < seq_lengths[..., None]  # [B, K, L]: the most recent L of each sequence
-    seq_ids = np.zeros((b, k_max, seq_len, n_cols), dtype=np.int64)
-    flat_ids = np.zeros((b, seq_len, n_cols), dtype=np.int64)
-    for bi, req in enumerate(requests):
-        lengths = req.sequences.lengths[:k_max]
-        # position k's rows follow those of positions 1..k-1 in `records`
-        starts = np.cumsum(lengths) - lengths
-        seq_ids[bi][seq_kept[bi]] = req.sequences.records[(starts[:, None] + steps)[seq_kept[bi]]]
-        rows = req.sequences.flat[:seq_len]
-        flat_ids[bi, : len(rows)] = rows
-    flat_lengths = np.minimum([len(r.sequences.flat) for r in requests], seq_len)
+    # request-major records land on the kept slots in C order: request, sequence, step
+    seq_kept = np.arange(seq_len) < lengths[..., None]  # [B, K+1, L]
+    seq_ids = np.zeros(seq_kept.shape + (len(HISTORY_COLUMNS),), dtype=np.int64)
+    seq_ids[seq_kept] = np.concatenate([r.sequences.records for r in requests])
 
     labelled = [bool(r.positions or r.clicks) for r in requests]
     positions = clicks = None
@@ -344,8 +337,6 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
         ),
         seq_ids=seq_ids,
         seq_mask=seq_kept.astype(np.float64),
-        flat_ids=flat_ids,
-        flat_mask=(steps < flat_lengths[:, None]).astype(np.float64),
         positions=positions,
         clicks=clicks,
     )
@@ -529,12 +520,13 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch, context: Tenso
         item_groups = ad.gather_rows(items, request * j + candidate)
         query = ad.concat([ctx_groups, item_groups], axis=1)
 
-    seq_emb = ad.reshape(behavior_embedding(params, prep.seq_ids), (b * k, seq_len, cfg.behavior_dim))
-    pooled = interest_aggregation(params, seq_emb, prep.seq_mask.reshape(b * k, seq_len), query)
+    # sequences 1..K of each request: its per-position histories
+    seq_emb = ad.reshape(behavior_embedding(params, prep.seq_ids[:, 1:]), (b * k, seq_len, cfg.behavior_dim))
+    pooled = interest_aggregation(params, seq_emb, prep.seq_mask[:, 1:].reshape(b * k, seq_len), query)
     pos_ids = np.repeat(np.tile(np.arange(1, k + 1), b), m)
     v = position_interaction(params, pos_ids, ctx_groups, pooled, item_query=item_groups)
     # (request, query, position) order: each query's K positions side by side
-    v = ad.gather_rows(v, np.arange(b * k * m).reshape(b, k, m).transpose(0, 2, 1).reshape(-1))
+    v = ad.reshape(ad.transpose(ad.reshape(v, (b, k, m, cfg.d_model)), (0, 2, 1, 3)), (b * m * k, cfg.d_model))
     if not spec.transformer:
         return v
     encoded = transformer_encode(params, ad.reshape(v, (b * m, k, cfg.d_model)))
@@ -571,9 +563,9 @@ def score_displayed(
     item_rep = base_module_forward(params, user, context, items)
     position_rep = None
     if spec.history == FLAT_HISTORY:
-        # DIN: the flat history pooled against each candidate's item embedding
-        flat = ad.reshape(behavior_embedding(params, prep.flat_ids), (b, cfg.max_len, cfg.behavior_dim))
-        item_rep = ad.concat([item_rep, interest_aggregation(params, flat, prep.flat_mask, items)], axis=1)
+        # DIN: the position-blind history, sequence 0, pooled against each candidate's item embedding
+        flat = ad.reshape(behavior_embedding(params, prep.seq_ids[:, 0]), (b, cfg.max_len, cfg.behavior_dim))
+        item_rep = ad.concat([item_rep, interest_aggregation(params, flat, prep.seq_mask[:, 0], items)], axis=1)
     else:
         # the block of K position rows each candidate reads: its own, or its request's
         owner = np.arange(b * j) if spec.history == PER_CANDIDATE else np.repeat(np.arange(b), j)

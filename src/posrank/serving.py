@@ -40,14 +40,11 @@ def synthetic_request(config: ModelConfig, n_items: int, seed) -> Request:
 
     k, seq_len = config.max_position, config.max_len
     highs = [config.vocab_sizes[f] for f in HISTORY_COLUMNS[:-1]] + [TIME_BUCKETS]
-    records = rng.integers(0, highs, size=(k * seq_len, len(HISTORY_COLUMNS)))
-    # most recent first regardless of position: round-robin over the positions
+    by_position = rng.integers(0, highs, size=(k * seq_len, len(HISTORY_COLUMNS)))
+    # sequence 0, most recent first regardless of position: round-robin over the positions
     recent = np.arange(seq_len)
-    sequences = PositionBehaviorSequences(
-        records=records,
-        lengths=np.full(k, seq_len),
-        flat=records[(recent % k) * seq_len + recent // k],
-    )
+    blind = by_position[(recent % k) * seq_len + recent // k]
+    sequences = PositionBehaviorSequences(np.concatenate([blind, by_position]), np.full(k + 1, seq_len))
     candidates = [
         Candidate(item_ids=(int(draw("item_id")), int(draw("category"))), bid=float(np.exp(rng.normal(0.0, 0.3))))
         for _ in range(n_items)

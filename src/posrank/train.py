@@ -1,15 +1,16 @@
 """Mini-batch training on logged impressions, supervised at actual positions.
 
 Each sample is one displayed (item, position, click) triple; batches group
-whole requests so the per-request interaction stage runs once for all of a
-request's impressions. Everything is seeded: rerunning with the same data
-and config reproduces the checkpoint byte for byte.
+whole requests of one candidate count, so the per-request interaction stage
+runs once for all of a request's impressions. Everything is seeded: the same
+data and config reproduce the checkpoint byte for byte.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -94,26 +95,36 @@ class TrainHistory:
 SCORE_BATCH_REQUESTS = 64  # requests per `score_displayed` call when scoring
 
 
+def _uniform_batches(requests: list[Request], order, cap) -> Iterator[list[Request]]:
+    """`requests` in `order`, cut where the candidate count J changes and after `cap(J)` requests."""
+    batch: list[Request] = []
+    for i in order:
+        j = requests[i].num_candidates
+        if batch and (j != batch[0].num_candidates or len(batch) == cap(j)):
+            yield batch
+            batch = []
+        batch.append(requests[i])
+    if batch:
+        yield batch
+
+
 def score_requests(params: ParameterSet, requests: list[Request]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score displayed impressions under the variant's evaluation protocol.
 
-    Returns (scores, clicks, logged positions), request-major. PAUC always
-    groups by the logged position, whatever slot the score was taken at.
+    Returns (scores, clicks, logged positions), request-major in request
+    order. PAUC groups by the logged position, whatever the scored slot.
     """
-    scores: list[np.ndarray] = []
-    clicks: list[np.ndarray] = []
-    positions: list[np.ndarray] = []
+    if not requests:
+        raise UsageError("score_requests needs at least one request")
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     with ad.no_grad():
-        for start in range(0, len(requests), SCORE_BATCH_REQUESTS):
-            chunk = requests[start : start + SCORE_BATCH_REQUESTS]
+        for chunk in _uniform_batches(requests, range(len(requests)), lambda j: SCORE_BATCH_REQUESTS):
             prep = prepare_batch(chunk, params.config)
             if prep.positions is None or prep.clicks is None:
                 raise UsageError("score_requests needs requests with logged impressions")
             p = score_displayed(params, prep, positions=evaluation_positions(params, prep.positions))
-            scores.append(p.data.copy())
-            clicks.append(prep.clicks.copy())
-            positions.append(prep.positions.copy())
-    return np.concatenate(scores), np.concatenate(clicks), np.concatenate(positions)
+            parts.append((p.data.copy(), prep.clicks.copy(), prep.positions.copy()))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def evaluate(params: ParameterSet, requests: list[Request]) -> PaucReport:
@@ -129,12 +140,6 @@ def _group_grad_norms(epoch: int, grads: dict[str, np.ndarray]) -> list[GradNorm
         group = name.partition(".")[0]
         squares[group] = squares.get(group, 0.0) + float(np.vdot(g, g))
     return [GradNorm(epoch, group, float(np.sqrt(sq))) for group, sq in squares.items()]
-
-
-def _request_batches(n_requests: int, requests_per_batch: int, rng: np.random.Generator):
-    order = rng.permutation(n_requests)
-    for start in range(0, n_requests, requests_per_batch):
-        yield order[start : start + requests_per_batch]
 
 
 def train(
@@ -164,8 +169,6 @@ def train(
             )
     params = build_model(config, variant, train_config.seed)
     opt = ad.Optimizer(lr=train_config.learning_rate)
-    items_per_request = train_requests[0].num_candidates
-    requests_per_batch = max(1, train_config.batch_size // max(1, items_per_request))
 
     history = TrainHistory()
     best: ParameterSet | None = None
@@ -175,8 +178,9 @@ def train(
         t0 = time.perf_counter()
         rng = np.random.default_rng([train_config.seed, epoch])
         losses: list[float] = []
-        for batch_index, idx in enumerate(_request_batches(len(train_requests), requests_per_batch, rng)):
-            chunk = [train_requests[i] for i in idx]
+        order = rng.permutation(len(train_requests))
+        batches = _uniform_batches(train_requests, order, lambda j: max(1, train_config.batch_size // max(1, j)))
+        for batch_index, chunk in enumerate(batches):
             prep = prepare_batch(chunk, config)
             if prep.clicks is None:
                 raise UsageError("training requests must carry click labels")

@@ -543,6 +543,13 @@ class TestRowStableKernels:
         assert out.tobytes() == np.zeros((nb, m, n)).tobytes()
 
 
+    def test_padded_bmm_result_does_not_pin_its_padding(self):
+        # each element's one row is padded to 8 for the kernel; the result holds only its own
+        out = ad.bmm(Tensor(np.ones((30, 1, 30))), Tensor(np.ones((30, 30, 56)))).data
+        assert out.shape == (30, 1, 56) and out.base is None and out.nbytes == 30 * 56 * 8
+        assert out.tobytes() == np.full((30, 1, 56), 30.0).tobytes()
+
+
 def _unfused_scores(r: Tensor, q: Tensor, w: Tensor) -> Tensor:
     """The composition `additive_scores` fuses: a broadcast sum, its ReLU, one matmul."""
     n, seq_len, h = r.shape

@@ -288,8 +288,8 @@ def _history(events):
 class TestSequences:
     def test_no_history_gives_empty_sequences(self):
         seqs = build_position_behavior_sequences(_history([]), reference_ts=1000, max_position=5, max_len=3)
-        assert all(len(seqs.at(k)) == 0 for k in range(1, 6))
-        assert seqs.flat.shape == (0, len(HISTORY_COLUMNS))
+        assert all(seqs.at(k).shape == (0, len(HISTORY_COLUMNS)) for k in range(0, 6))
+        assert seqs.lengths.tolist() == [0] * 6
 
     def test_truncation_keeps_most_recent(self):
         events = [_event(100, 2, item=1), _event(200, 2, item=2), _event(300, 2, item=3)]
@@ -301,18 +301,19 @@ class TestSequences:
         events = [_event(t, pos) for t, pos in [(10, 1), (20, 3), (30, 1), (40, 2)]]
         seqs = build_position_behavior_sequences(_history(events), reference_ts=100, max_position=4, max_len=10)
         assert [len(seqs.at(k)) for k in range(1, 5)] == [2, 1, 1, 0]
-        assert seqs.lengths.tolist() == [2, 1, 1, 0]
+        assert seqs.lengths.tolist() == [4, 2, 1, 1, 0]  # sequence 0 holds all four
 
     def test_events_outside_the_positions_are_ignored(self):
         events = [_event(10, 0, item=1), _event(20, 2, item=2), _event(30, 3, item=3)]
         seqs = build_position_behavior_sequences(_history(events), reference_ts=100, max_position=2, max_len=10)
-        assert seqs.records[:, 0].tolist() == [2] and seqs.flat[:, 0].tolist() == [2]
+        assert seqs.at(0)[:, 0].tolist() == [2] and seqs.at(2)[:, 0].tolist() == [2]
+        assert seqs.records[:, 0].tolist() == [2, 2]
 
     def test_at_checks_its_range(self):
         seqs = build_position_behavior_sequences(_history([]), reference_ts=100, max_position=3, max_len=2)
-        for position in (0, 4):
+        for sequence in (-1, 4):
             with pytest.raises(UsageError, match="outside"):
-                seqs.at(position)
+                seqs.at(sequence)
 
     def test_leakage_guard_counts_excluded_events(self):
         events = [_event(10, 1), _event(999, 1), _event(1000, 1), _event(1500, 1)]
@@ -328,16 +329,29 @@ class TestSequences:
         assert seqs.at(1)[0].tolist() == [7, 11, 12, 13, 14, 15, 1]
 
     def test_flat_merges_by_recency(self):
-        # history arrives ts-ascending; flat keeps the most recent across positions
+        # history arrives ts-ascending; sequence 0 keeps the most recent across positions
         events = [_event(10, 1, item=1), _event(30, 3, item=3), _event(50, 2, item=2)]
         seqs = build_position_behavior_sequences(_history(events), reference_ts=100, max_position=3, max_len=2)
-        assert seqs.flat[:, 0].tolist() == [2, 3]
+        assert seqs.at(0)[:, 0].tolist() == [2, 3]
+
+    def test_sequence_zero_is_the_position_blind_history(self):
+        # the most recent max_len clicks at positions 1..K, whatever their position,
+        # and the same rows (recency bucket included) as the per-position sequences
+        rng = np.random.default_rng(3)
+        events = [_event(10 * t, int(rng.integers(0, 6)), item=t) for t in range(1, 30)]
+        seqs = build_position_behavior_sequences(_history(events), reference_ts=1000, max_position=4, max_len=5)
+        shown = [e for e in events if 1 <= e[1] <= 4][::-1]
+        assert seqs.at(0)[:, 0].tolist() == [e[2] for e in shown[:5]]
+        by_item = {int(row[0]): row.tolist() for k in range(1, 5) for row in seqs.at(k)}
+        assert all(by_item[int(row[0])] == row.tolist() for row in seqs.at(0))
+        assert seqs.lengths.tolist() == [5] + [min(5, sum(e[1] == k for e in shown)) for k in range(1, 5)]
+        assert len(seqs.records) == seqs.lengths.sum()
 
     def test_sequences_own_their_rows(self):
         # a view would keep a larger buffer (the user's whole history) alive
         history = _history([_event(t, 1 + t % 2, item=t) for t in range(1, 9)])
         seqs = build_position_behavior_sequences(history, reference_ts=100, max_position=2, max_len=3)
-        for part in (seqs.records, seqs.flat, seqs.lengths):
+        for part in (seqs.records, seqs.lengths):
             assert part.base is None
 
 

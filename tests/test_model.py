@@ -420,7 +420,8 @@ class TestCombination:
 
 
 class TestPrepareBatch:
-    def test_longer_and_wider_histories_are_cut_to_the_model(self):
+    def test_longer_and_wider_histories_are_rejected(self):
+        # histories are cut once, by build_position_behavior_sequences at the model's K and L
         cfg = tiny_config()
         k, seq_len = cfg.max_position, cfg.max_len
         wider = k + 2
@@ -429,14 +430,20 @@ class TestPrepareBatch:
             [(100 + i, i % wider + 1, i, 1, 1, 1, 1, 1) for i in range(6 * wider)], dtype=np.int64
         )
         req = synthetic_request(cfg, 2, seed=0)
-        req.sequences = build_position_behavior_sequences(history, 10_000, wider, seq_len + 2)
+        for positions, clicks in ((wider, seq_len), (k, seq_len + 2)):
+            req.sequences = build_position_behavior_sequences(history, 10_000, positions, clicks)
+            with pytest.raises(UsageError, match="sequences|longer"):
+                prepare_batch([req], cfg)
+
+        exact = build_position_behavior_sequences(history, 10_000, k, seq_len)
+        req.sequences = exact
         prep = prepare_batch([req], cfg)
         for pos in range(1, k + 1):
             recent = [pos - 1 + wider * n for n in (5, 4, 3, 2)]  # the last four clicks at pos
-            assert prep.seq_ids[0, pos - 1, :, 0].tolist() == recent[:seq_len]
-        assert prep.flat_ids[0, :, 0].tolist() == [6 * wider - 1 - n for n in range(seq_len)]
-        assert prep.seq_mask.all() and prep.flat_mask.all()
-        exact = build_position_behavior_sequences(history, 10_000, k, seq_len)
+            assert prep.seq_ids[0, pos, :, 0].tolist() == recent[:seq_len]
+        # sequence 0 keeps the most recent clicks at positions 1..K, whatever the position
+        assert prep.seq_ids[0, 0, :, 0].tolist() == [i for i in range(6 * wider - 1, -1, -1) if i % wider < k][:seq_len]
+        assert prep.seq_mask.all()
         np.testing.assert_array_equal(prep.seq_ids[0].reshape(-1, 7), exact.records)
 
     def test_masks_follow_the_sequence_lengths(self):
@@ -445,10 +452,38 @@ class TestPrepareBatch:
         req = synthetic_request(cfg, 2, seed=0)
         req.sequences = build_position_behavior_sequences(history, 10_000, cfg.max_position, cfg.max_len)
         prep = prepare_batch([req, synthetic_request(cfg, 2, seed=1)], cfg)
-        assert prep.seq_mask[0].sum(axis=1).tolist() == [0, 2, 0]
-        assert prep.seq_ids[0, 1, :2, 0].tolist() == [6, 5] and not prep.seq_ids[0, 1, 2:].any()
-        assert prep.flat_mask[0].tolist() == [1, 1, 0, 0]
-        assert prep.seq_mask[1].all() and prep.flat_mask[1].all()
+        assert prep.seq_mask[0].sum(axis=1).tolist() == [2, 0, 2, 0]
+        assert prep.seq_ids[0, 2, :2, 0].tolist() == [6, 5] and not prep.seq_ids[0, 2, 2:].any()
+        assert prep.seq_ids[0, 0, :2, 0].tolist() == [6, 5] and not prep.seq_ids[0, 0, 2:].any()
+        assert prep.seq_mask[0, 0].tolist() == [1, 1, 0, 0]
+        assert prep.seq_mask[1].all()
+
+    def test_a_batch_stacks_each_request_as_prepared_alone(self):
+        # unequal and empty histories: a request's slice of the batch is, bit for bit,
+        # the request prepared alone, and holds its sequences then zero padding
+        cfg = tiny_config()
+        rng = np.random.default_rng(5)
+        requests = []
+        for n_clicks in (0, 3, 11, 0, 1):
+            history = np.array(
+                [(100 + i, rng.integers(1, cfg.max_position + 2), rng.integers(1, 12), 1, 2, 3, 4, 5)
+                 for i in range(n_clicks)],
+                dtype=np.int64,
+            ).reshape(-1, len(HISTORY_COLUMNS) + 1)
+            req = synthetic_request(cfg, 2, seed=n_clicks)
+            req.sequences = build_position_behavior_sequences(history, 10_000, cfg.max_position, cfg.max_len)
+            requests.append(req)
+        batch = prepare_batch(requests, cfg)
+        assert batch.seq_ids.shape == (5, cfg.max_position + 1, cfg.max_len, len(HISTORY_COLUMNS))
+        for b, req in enumerate(requests):
+            alone = prepare_batch([req], cfg)
+            assert batch.seq_ids[b].tobytes() == alone.seq_ids[0].tobytes()
+            assert batch.seq_mask[b].tobytes() == alone.seq_mask[0].tobytes()
+            for k in range(cfg.max_position + 1):
+                n = len(req.sequences.at(k))
+                np.testing.assert_array_equal(alone.seq_ids[0, k, :n], req.sequences.at(k))
+                assert not alone.seq_ids[0, k, n:].any()
+                assert alone.seq_mask[0, k].tolist() == [1.0] * n + [0.0] * (cfg.max_len - n)
 
     def test_label_count_must_match_the_candidates(self):
         cfg = tiny_config()
@@ -615,7 +650,7 @@ def _corrupt_ids(req, cfg: ModelConfig, case: str, variant: str) -> None:
     elif case == "context_at_vocab_size":
         req.context_ids = (1, vocab["geo"], 1, 1)
     else:  # one clicked item in the history the variant reads
-        history = req.sequences.flat if variant == "DIN" else req.sequences.records
+        history = req.sequences.at(0) if variant == "DIN" else req.sequences.at(1)
         history[0, HISTORY_COLUMNS.index("item_id")] = vocab["item_id"]
 
 

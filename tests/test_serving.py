@@ -142,9 +142,10 @@ class TestSyntheticRequest:
         req = synthetic_request(cfg, 4, seed=21)
         for k in range(1, cfg.max_position + 1):
             assert req.sequences.at(k).tolist() == per_position[k - 1]
-        # flat: most recent first regardless of position, round-robin over the positions
+        # sequence 0: most recent first regardless of position, round-robin over the positions
         flat = [rec for recent in zip(*per_position) for rec in recent][: cfg.max_len]
-        assert req.sequences.flat.tolist() == flat
+        assert req.sequences.at(0).tolist() == flat
+        assert req.sequences.lengths.tolist() == [cfg.max_len] * (cfg.max_position + 1)
         assert [(c.item_ids, c.bid) for c in req.candidates] == item_draws
 
 

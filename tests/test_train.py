@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import posrank.train as train_module
 from posrank.autodiff import Tensor, backward, binary_cross_entropy
 from posrank.errors import NumericError, UsageError
 from posrank.metrics import pauc
@@ -181,3 +182,82 @@ class TestEvaluationProtocols:
         by_request = scores.reshape(len(requests), -1)
         # same candidate list scored per request: column order is position order
         assert np.all((by_request > 0) & (by_request < 1))
+
+    def test_scoring_no_requests_is_a_usage_error(self):
+        params = build_model(tiny_config(), "DPIN", seed=3)
+        for entry in (score_requests, evaluate):
+            with pytest.raises(UsageError, match="at least one request"):
+                entry(params, [])
+
+
+def _mixed_requests(cfg, counts, seed0=60):
+    """Labelled requests displaying `counts[i]` items each, clicks alternating from the first."""
+    requests = []
+    for i, j in enumerate(counts):
+        req = labeled_request(cfg, seed=seed0 + i)
+        req.candidates, req.positions = req.candidates[:j], req.positions[:j]
+        req.clicks = [(i + n) % 2 for n in range(j)]
+        requests.append(req)
+    return requests
+
+
+def _record_batches(monkeypatch) -> list[list]:
+    """Patch the `prepare_batch` that train and evaluation call to log each batch."""
+    batches = []
+
+    def logged(requests, config):
+        batches.append(list(requests))
+        return prepare_batch(requests, config)
+
+    monkeypatch.setattr(train_module, "prepare_batch", logged)
+    return batches
+
+
+class TestMixedCandidateCounts:
+    def test_evaluation_scores_requests_of_different_candidate_counts(self, monkeypatch):
+        cfg = tiny_config()
+        params = build_model(cfg, "DPIN", seed=3)
+        requests = _mixed_requests(cfg, [3, 2, 2, 3, 1, 3, 3, 3])
+        alone = [score_requests(params, [r]) for r in requests]
+        monkeypatch.setattr(train_module, "SCORE_BATCH_REQUESTS", 2)
+        batches = _record_batches(monkeypatch)
+        scores, clicks, positions = score_requests(params, requests)
+        # request order, and each request's scores bit for bit as scored alone
+        for got, want in zip((scores, clicks, positions), zip(*alone)):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+        assert [[r.num_candidates for r in b] for b in batches] == [[3], [2, 2], [3], [1], [3, 3], [3]]
+        report = evaluate(params, requests)
+        assert report.pauc == pauc(scores, clicks, positions).pauc
+
+    def test_training_batches_hold_one_candidate_count(self, monkeypatch):
+        cfg = tiny_config()
+        requests = _mixed_requests(cfg, [3, 2, 3, 2, 2, 3, 1, 2, 3])
+        index = {id(r): i for i, r in enumerate(requests)}
+        batches = _record_batches(monkeypatch)
+        train(requests, cfg, "DPIN", TrainConfig(batch_size=6, epochs=1, seed=4, eval_every=0))
+
+        def cap(j):
+            return max(1, 6 // j)
+
+        js = [[r.num_candidates for r in b] for b in batches]
+        assert all(len(set(b)) == 1 and len(b) <= cap(b[0]) for b in js)
+        # the epoch's permutation, cut only where J changes or a batch is full
+        order = np.random.default_rng([4, 1]).permutation(len(requests)).tolist()
+        assert [index[id(r)] for b in batches for r in b] == order
+        assert all(prev[0] != nxt[0] or len(prev) == cap(prev[0]) for prev, nxt in zip(js, js[1:]))
+
+    def test_training_validates_on_requests_of_different_candidate_counts(self):
+        cfg = tiny_config()
+        requests = _mixed_requests(cfg, [3, 2, 3, 2, 2, 3, 1, 2, 3])
+        tc = TrainConfig(batch_size=6, epochs=2, learning_rate=3e-3, seed=4, eval_every=1)
+        _, history = train(requests, cfg, "DPIN", tc, val_requests=requests[::-1])
+        assert all(np.isfinite([e.train_loss, e.val_pauc]).all() for e in history.epochs)
+
+    def test_uniform_candidate_counts_batch_as_fixed_chunks(self, monkeypatch):
+        cfg = tiny_config()
+        requests = _mixed_requests(cfg, [3] * 7)
+        index = {id(r): i for i, r in enumerate(requests)}
+        batches = _record_batches(monkeypatch)
+        train(requests, cfg, "DPIN", TrainConfig(batch_size=6, epochs=1, seed=4, eval_every=0))
+        order = np.random.default_rng([4, 1]).permutation(len(requests)).tolist()
+        assert [[index[id(r)] for r in b] for b in batches] == [order[i : i + 2] for i in (0, 2, 4, 6)]

@@ -12,6 +12,17 @@ sha256 digests (first 16 hex digits) of:
 * `trained` and `losses`: its tensors and per-epoch training losses after
   2 epochs of `train` on 24 labelled synthetic requests.
 
+Synthetic requests fill every history slot, so a second set of keys runs on
+a small simulated world (`WORLD`, desk shapes at its vocabulary), whose
+histories are sparse, and empty for a user's first requests:
+
+* `world_predict`: `predict_matrix` on the first request (no history) and
+  on the last;
+* `world_scores`: `score_requests` on every request, in batches of many
+  requests with unequal histories;
+* `world_trained` and `world_losses`: one epoch of `train` on the requests
+  before the last day, several requests per batch.
+
 The package comes from PYTHONPATH, so one copy of this script compares the
 sources of any two checkouts: equal digests mean equal bytes.
 """
@@ -24,14 +35,17 @@ import json
 
 import numpy as np
 
-from posrank.data import VOCAB_FIELDS
+from posrank import world
+from posrank.data import VOCAB_FIELDS, Vocabulary, encode_history, group_requests
 from posrank.model import VARIANTS, ModelConfig, ParameterSet, build_model, predict_matrix
 from posrank.serving import synthetic_request
-from posrank.train import TrainConfig, train
+from posrank.train import TrainConfig, score_requests, train
 
 ITEM_COUNTS = (1, 7, 30)
 TRAIN_REQUESTS = 24
 TRAIN_CONFIG = dict(batch_size=60, epochs=2, learning_rate=3e-3)
+WORLD = dict(n_users=30, n_items=60, requests_per_day=40, days=3, randomized_fraction=0.5)
+WORLD_TRAIN_CONFIG = dict(batch_size=40, epochs=1, learning_rate=3e-3, eval_every=0)
 
 
 def digest(*arrays: np.ndarray) -> str:
@@ -57,12 +71,24 @@ def labelled_requests(cfg: ModelConfig, seed: int) -> list:
     return requests
 
 
+def world_requests(seed: int) -> tuple[ModelConfig, list]:
+    """The desk config at the vocabulary of a small simulated world, and its requests."""
+    sim = world.user_dependent_config(**WORLD)
+    impressions, behaviors = world.simulate_traffic(world.generate_world(sim, seed))
+    vocab = Vocabulary.build(impressions)
+    cfg = ModelConfig(vocab_sizes={f: vocab.size(f) for f in VOCAB_FIELDS})
+    history = encode_history(behaviors, vocab)
+    return cfg, group_requests(impressions, vocab, history, cfg.max_position, cfg.max_len)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     cfg = ModelConfig(vocab_sizes={f: 64 for f in VOCAB_FIELDS})
     requests = labelled_requests(cfg, args.seed)
+    world_cfg, logged = world_requests(args.seed)
+    last_day = max(r.day for r in logged)
     out = {}
     for variant in VARIANTS:
         params = build_model(cfg, variant, args.seed)
@@ -72,6 +98,14 @@ def main() -> None:
         trained, history = train(requests, cfg, variant, TrainConfig(seed=args.seed, **TRAIN_CONFIG))
         row["trained"] = tensors_digest(trained)
         row["losses"] = digest(np.array([e.train_loss for e in history.epochs]))
+
+        params = build_model(world_cfg, variant, args.seed)
+        row["world_predict"] = digest(*(predict_matrix(params, r) for r in (logged[0], logged[-1])))
+        row["world_scores"] = digest(*score_requests(params, logged))
+        fit = [r for r in logged if r.day < last_day]
+        trained, history = train(fit, world_cfg, variant, TrainConfig(seed=args.seed, **WORLD_TRAIN_CONFIG))
+        row["world_trained"] = tensors_digest(trained)
+        row["world_losses"] = digest(np.array([e.train_loss for e in history.epochs]))
         out[variant] = row
     print(json.dumps(out, indent=1))
 
