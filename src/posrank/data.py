@@ -20,12 +20,15 @@ vocabulary ids); `build_position_behavior_sequences` cuts it at a request's
 timestamp into `[n, 7]` rows (the six ids, then the recency bucket), in
 K + 1 most-recent-first sequences stored back to back: sequence 0 is the
 position-blind history DIN reads, sequence k the clicks at position k that
-DPIN reads. No other code cuts a history to a model's K and L.
+DPIN reads. No other code builds a history's sequences: logged requests
+(`group_requests`) and synthetic ones (`serving.synthetic_request`) alike
+are cut by `build_position_behavior_sequences`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -324,6 +327,22 @@ def _check_impression(raw: RawImpression, max_position: int) -> None:
         raise UsageError(f"traffic must be one of {TRAFFIC_KINDS}, got {raw.traffic!r}")
 
 
+# the fields every impression of one request logs alike
+_REQUEST_FIELDS = ("day", "traffic", "ts") + USER_FIELDS + CONTEXT_FIELDS
+_request_key = attrgetter(*_REQUEST_FIELDS)
+
+
+def _check_request(request_id: str, raws: list[RawImpression]) -> None:
+    """UsageError naming the request and field unless `raws`, sorted by position, are one request's."""
+    key = _request_key(raws[0])
+    for previous, raw in zip(raws, raws[1:]):
+        if raw.position == previous.position:
+            raise UsageError(f"request {request_id!r} logs position {raw.position} twice")
+        if _request_key(raw) != key:
+            name = next(n for n, a, b in zip(_REQUEST_FIELDS, _request_key(raw), key) if a != b)
+            raise UsageError(f"request {request_id!r}: impressions disagree on {name}")
+
+
 def group_requests(
     raw_impressions: Sequence[RawImpression],
     vocab: Vocabulary,
@@ -335,7 +354,9 @@ def group_requests(
 
     `history_by_user` is keyed by the raw user token (see encode_history).
     Requests come out in first-appearance order; displayed items are sorted
-    by position. Every impression is validated (UsageError) and encoded.
+    by position. Every impression is validated (UsageError) and encoded; a
+    request's impressions must fill distinct positions and agree on day,
+    traffic, ts and the user and context fields.
     """
     by_request: dict[str, list[RawImpression]] = {}
     for raw in raw_impressions:
@@ -346,6 +367,7 @@ def group_requests(
         raws = sorted(raws, key=lambda r: r.position)
         for raw in raws:
             _check_impression(raw, max_position)
+        _check_request(rid, raws)
         first = raws[0]
         history = history_by_user.get(first.user_id, _NO_HISTORY)
         requests.append(

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import HISTORY_COLUMNS, TIME_BUCKETS, Candidate, PositionBehaviorSequences, Request
+from .data import (
+    CONTEXT_FIELDS, HISTORY_COLUMNS, ITEM_FIELDS, USER_FIELDS, Candidate, Request, build_position_behavior_sequences,
+)
 from .errors import UsageError
 from .model import ModelConfig, ParameterSet, predict_matrix
 
@@ -32,32 +34,29 @@ __all__ = [
 
 
 def synthetic_request(config: ModelConfig, n_items: int, seed) -> Request:
-    """A deterministic request with full behavior sequences, for benchmarking."""
+    """A deterministic request at ts 0 with full behavior sequences, for benchmarking.
+
+    Its user's history is K·L `encode_history` rows one minute apart before
+    ts 0, click r at position r mod K + 1, cut like any logged history.
+    """
     rng = np.random.default_rng(seed)
 
-    def draw(field_name: str):
-        return rng.integers(0, config.vocab_sizes[field_name])
+    def draw(fields: tuple[str, ...]) -> tuple[int, ...]:
+        return tuple(int(rng.integers(0, config.vocab_sizes[f])) for f in fields)
 
-    k, seq_len = config.max_position, config.max_len
-    highs = [config.vocab_sizes[f] for f in HISTORY_COLUMNS[:-1]] + [TIME_BUCKETS]
-    by_position = rng.integers(0, highs, size=(k * seq_len, len(HISTORY_COLUMNS)))
-    # sequence 0, most recent first regardless of position: round-robin over the positions
-    recent = np.arange(seq_len)
-    blind = by_position[(recent % k) * seq_len + recent // k]
-    sequences = PositionBehaviorSequences(np.concatenate([blind, by_position]), np.full(k + 1, seq_len))
-    candidates = [
-        Candidate(item_ids=(int(draw("item_id")), int(draw("category"))), bid=float(np.exp(rng.normal(0.0, 0.3))))
-        for _ in range(n_items)
-    ]
+    n = config.max_position * config.max_len
+    ids = rng.integers(0, [config.vocab_sizes[f] for f in HISTORY_COLUMNS[:-1]], size=(n, len(HISTORY_COLUMNS) - 1))
+    history = np.column_stack([60 * np.arange(-n, 0), np.arange(n) % config.max_position + 1, ids])
+    candidates = [Candidate(draw(ITEM_FIELDS), bid=float(np.exp(rng.normal(0.0, 0.3)))) for _ in range(n_items)]
     return Request(
         request_id="bench",
         day=0,
         traffic="regular",
         ts=0,
-        user_ids=(int(draw("user_id")), int(draw("segment"))),
-        context_ids=(int(draw("query")), int(draw("geo")), int(draw("hour")), int(draw("dow"))),
+        user_ids=draw(USER_FIELDS),
+        context_ids=draw(CONTEXT_FIELDS),
         candidates=candidates,
-        sequences=sequences,
+        sequences=build_position_behavior_sequences(history, 0, config.max_position, config.max_len),
     )
 
 
@@ -148,13 +147,13 @@ def benchmark_latency(
         raise UsageError("benchmark needs at least 30 trials per cell")
     if warmup < 5:
         raise UsageError("benchmark needs at least 5 warm-up evaluations")
-    cfg = next(iter(params_by_variant.values())).config
-    if any(p.config != cfg for p in params_by_variant.values()):
-        raise UsageError("benchmark variants must share one ModelConfig")
+    configs = [p.config for p in params_by_variant.values()]
+    if not configs or any(c != configs[0] for c in configs):
+        raise UsageError("benchmark needs at least one variant, all of one ModelConfig")
+    cfg = configs[0]
 
     rows: list[LatencyRow] = []
-    for variant in params_by_variant:
-        params = params_by_variant[variant]
+    for variant, params in params_by_variant.items():
         for n_items in item_counts:
             request = synthetic_request(cfg, n_items, seed=[seed, n_items])
             for _ in range(warmup):

@@ -113,18 +113,24 @@ def score_requests(params: ParameterSet, requests: list[Request]) -> tuple[np.nd
 
     Returns (scores, clicks, logged positions), request-major in request
     order. PAUC groups by the logged position, whatever the scored slot.
+    Requests are scored in batches of one candidate count J, visited in a
+    stable order by J, so a log that mixes counts still batches.
     """
     if not requests:
         raise UsageError("score_requests needs at least one request")
+    js = np.array([r.num_candidates for r in requests])
+    order = np.argsort(js, kind="stable")
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     with ad.no_grad():
-        for chunk in _uniform_batches(requests, range(len(requests)), lambda j: SCORE_BATCH_REQUESTS):
+        for chunk in _uniform_batches(requests, order, lambda j: SCORE_BATCH_REQUESTS):
             prep = prepare_batch(chunk, params.config)
             if prep.positions is None or prep.clicks is None:
                 raise UsageError("score_requests needs requests with logged impressions")
             p = score_displayed(params, prep, positions=evaluation_positions(params, prep.positions))
             parts.append((p.data.copy(), prep.clicks.copy(), prep.positions.copy()))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    # each scored impression's request index; a stable sort puts the impressions back in request order
+    back = np.argsort(np.repeat(order, js[order]), kind="stable")
+    return tuple(np.concatenate(column)[back] for column in zip(*parts))
 
 
 def evaluate(params: ParameterSet, requests: list[Request]) -> PaucReport:

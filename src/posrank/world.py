@@ -118,17 +118,27 @@ def _check_ids(what: str, ids: int | np.ndarray, n: int) -> np.ndarray:
     return ids
 
 
+def _check_id(what: str, value: int, n: int) -> int:
+    """`value` as an int; UsageError unless it is one integer id (not a bool) in [0, n)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise UsageError(f"{what} must be one integer id, got {value!r}")
+    if not 0 <= value < n:
+        raise UsageError(f"{what} id {value} outside [0, {n})")
+    return int(value)
+
+
 def relevance_probability(
     world: SyntheticWorld, user: int, query: int, items: int | np.ndarray
 ) -> float | np.ndarray:
     """P(item is relevant | user, query) for each of `items`; independent of position.
 
     Ids index the world's entities: UsageError for one outside [0, n), so a
-    negative id never wraps around to the last entity.
+    negative id never wraps around to the last entity, and for a `user` or
+    `query` that is not one integer.
     """
     cfg = world.config
-    _check_ids("user", user, cfg.n_users)
-    _check_ids("query", query, cfg.n_queries)
+    user = _check_id("user", user, cfg.n_users)
+    query = _check_id("query", query, cfg.n_queries)
     factors = world.item_factors[_check_ids("item", items, cfg.n_items)][..., None, :]
     # one dot product per item ([1, 8] @ [8, 1]), which keeps the bits of
     # scoring each item alone; a matrix-vector product does not
@@ -143,10 +153,12 @@ def relevance_probability(
 def examination_probability(
     world: SyntheticWorld, positions: int | np.ndarray, segment: int = 0
 ) -> float | np.ndarray:
-    """P(slot k is looked at) for each k of `positions`: k ** (-eta of `segment`)."""
+    """P(slot k is looked at) for each k of `positions`: k ** (-eta of `segment`).
+
+    UsageError for a `segment` that is not one integer in [0, segments).
+    """
     n_segments, max_position = world.examination.shape
-    if not 0 <= segment < n_segments:
-        raise UsageError(f"segment {segment} outside [0, {n_segments})")
+    segment = _check_id("segment", segment, n_segments)
     k = np.asarray(positions)
     if not np.issubdtype(k.dtype, np.integer):
         raise UsageError(f"positions must be integers, got {k.dtype}")

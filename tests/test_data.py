@@ -394,3 +394,19 @@ class TestSplitAndGrouping:
         # only the ts=5 event predates the request; the future one must not leak
         assert len(first.sequences.at(1)) == 1
         assert first.sequences.leaked == 0
+
+    def test_a_repeated_position_is_rejected(self):
+        raws = [_imp(user_id="u1", day=0), _imp(user_id="u2", day=3)]  # both at position 1
+        with pytest.raises(UsageError, match="request 'r1' logs position 1 twice"):
+            group_requests(raws, Vocabulary.build(raws), {}, max_position=4, max_len=8)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("day", 3), ("traffic", "randomized"), ("ts", 1001), ("user_id", "u2"), ("segment", "s1"),
+         ("query", "q2"), ("geo", "g2"), ("hour", "13"), ("dow", "4")],
+    )
+    def test_impressions_that_disagree_on_a_request_field_are_rejected(self, name, value):
+        raws = [_imp(request_id="d0r0"), _imp(request_id="r9", position=1), _imp(request_id="r9", position=2)]
+        raws[2] = replace(raws[2], **{name: value})
+        with pytest.raises(UsageError, match=f"request 'r9': impressions disagree on {name}$"):
+            group_requests(raws, Vocabulary.build(raws), {}, max_position=4, max_len=8)

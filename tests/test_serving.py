@@ -1,9 +1,11 @@
 """Slot allocation against exhaustive enumeration, plus the latency harness."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from posrank.data import HISTORY_COLUMNS, TIME_BUCKETS
+from posrank.data import CONTEXT_FIELDS, HISTORY_COLUMNS, ITEM_FIELDS, USER_FIELDS
 from posrank.errors import UsageError
 from posrank.model import build_model, predict_matrix
 from posrank.serving import allocate_request, benchmark_latency, greedy_allocate, synthetic_request
@@ -125,28 +127,38 @@ class TestAllocateRequest:
 
 
 class TestSyntheticRequest:
-    def test_history_block_repeats_the_scalar_draw_stream(self):
-        # reference: one scalar draw per id, record by record, position by position;
-        # equal ids give benchmark requests, and so their matrices, the same bytes
+    def test_history_is_cut_by_the_builder_and_ids_follow_the_scalar_draw_stream(self):
+        # reference: one scalar draw per id, for the history's clicks (click r, oldest first,
+        # at position r mod K + 1), then the candidates, the user and the context
         cfg = tiny_config()
+        k, seq_len = cfg.max_position, cfg.max_len
         rng = np.random.default_rng(21)
-        highs = [cfg.vocab_sizes[f] for f in HISTORY_COLUMNS[:-1]] + [TIME_BUCKETS]
-        per_position = [
-            [[int(rng.integers(0, h)) for h in highs] for _ in range(cfg.max_len)] for _ in range(cfg.max_position)
-        ]
-        item_draws = [
-            ((int(rng.integers(0, cfg.vocab_sizes["item_id"])), int(rng.integers(0, cfg.vocab_sizes["category"]))),
-             float(np.exp(rng.normal(0.0, 0.3))))
-            for _ in range(4)
-        ]
+
+        def draw(fields):
+            return tuple(int(rng.integers(0, cfg.vocab_sizes[f])) for f in fields)
+
+        clicks = [list(draw(HISTORY_COLUMNS[:-1])) for _ in range(k * seq_len)]
+        item_draws = [(draw(ITEM_FIELDS), float(np.exp(rng.normal(0.0, 0.3)))) for _ in range(4)]
+        user, context = draw(USER_FIELDS), draw(CONTEXT_FIELDS)
+
         req = synthetic_request(cfg, 4, seed=21)
-        for k in range(1, cfg.max_position + 1):
-            assert req.sequences.at(k).tolist() == per_position[k - 1]
-        # sequence 0: most recent first regardless of position, round-robin over the positions
-        flat = [rec for recent in zip(*per_position) for rec in recent][: cfg.max_len]
-        assert req.sequences.at(0).tolist() == flat
-        assert req.sequences.lengths.tolist() == [cfg.max_len] * (cfg.max_position + 1)
+        seqs = req.sequences
+        assert seqs.lengths.tolist() == [seq_len] * (k + 1) and seqs.leaked == 0
+        for pos in range(1, k + 1):  # most recent first: clicks r = K·L - K + pos - 1, then K earlier, ...
+            want = [clicks[k * seq_len - k + pos - 1 - k * j] for j in range(seq_len)]
+            assert seqs.at(pos)[:, :-1].tolist() == want
+        # sequence 0: the L most recent clicks, round-robin over positions K, K - 1, ..., 1, K, ...
+        assert seqs.at(0).tolist() == [seqs.at(k - i % k)[i // k].tolist() for i in range(seq_len)]
+        for sequence in range(k + 1):
+            assert (np.diff(seqs.at(sequence)[:, -1]) >= 0).all()
         assert [(c.item_ids, c.bid) for c in req.candidates] == item_draws
+        assert (req.user_ids, req.context_ids) == (user, context)
+
+    def test_requests_are_byte_deterministic_in_the_seed(self):
+        cfg = tiny_config()
+        first, again, other = (synthetic_request(cfg, 5, seed=s) for s in ([3, 5], [3, 5], [4, 5]))
+        assert pickle.dumps(first) == pickle.dumps(again)
+        assert pickle.dumps(first) != pickle.dumps(other)
 
 
 class TestBenchmark:
@@ -169,6 +181,10 @@ class TestBenchmark:
         params = {"DPIN": build_model(cfg, "DPIN", seed=8)}
         with pytest.raises(UsageError):
             benchmark_latency(params, item_counts=[2], trials=10)
+
+    def test_no_variants_rejected(self):
+        with pytest.raises(UsageError, match="at least one variant"):
+            benchmark_latency({}, item_counts=[10])
 
     def test_mixed_configs_rejected(self):
         a = build_model(tiny_config(), "DPIN", seed=8)

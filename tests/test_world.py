@@ -1,5 +1,7 @@
 """Ground-truth click world: factorization, decay shapes, simulation laws."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -104,10 +106,15 @@ class TestEntityIds:
             (0, 0, 120, "item"),
             (0, 0, np.array([[0], [120]]), "item"),
             (0, 0, np.array([1.0]), "item"),
+            (np.array([0, 1]), 0, 0, "user must be one integer id"),
+            (0, np.array([2]), 0, "query must be one integer id"),
+            (0.0, 0, 0, "user must be one integer id"),
+            (0, True, 0, "query must be one integer id"),
         ],
         ids=[
             "negative-user", "user-n", "negative-query", "query-n",
             "negative-item", "item-n", "item-grid", "float-item",
+            "user-array", "query-array", "float-user", "bool-query",
         ],
     )
     def test_ids_outside_the_world_rejected(self, score, user, query, items, what):
@@ -154,7 +161,7 @@ class TestExamination:
                 examination_probability(world, positions)
             with pytest.raises(UsageError, match="positions"):
                 oracle_ctr(world, 0, 0, np.arange(3)[:, None], positions)
-        for segment in (2, -1):
+        for segment in (2, -1, True, 0.5, np.array([0, 1]), np.array(1.0)):
             with pytest.raises(UsageError, match="segment"):
                 examination_probability(world, np.arange(1, 5), segment)
 
@@ -231,6 +238,16 @@ class TestSimulation:
         imps_a, behs_a = simulate_traffic(world)
         imps_b, behs_b = simulate_traffic(world)
         assert imps_a == imps_b and behs_a == behs_b
+
+    def test_one_more_day_only_appends_to_the_logs(self):
+        # held-out days: a world with one more day has the same latent factors and earlier logs
+        short, longer = (generate_world(_tiny(days=days), seed=5) for days in (2, 3))
+        for name in ("user_factors", "item_factors", "query_affinity", "user_segments", "item_categories"):
+            assert getattr(short, name).tobytes() == getattr(longer, name).tobytes()
+        (imps, behs), (more_imps, more_behs) = simulate_traffic(short), simulate_traffic(longer)
+        assert pickle.dumps(more_imps[: len(imps)]) == pickle.dumps(imps)
+        assert pickle.dumps(more_behs[: len(behs)]) == pickle.dumps(behs)
+        assert {imp.day for imp in more_imps[len(imps) :]} == {2}
 
     def test_log_shape_and_positions(self):
         cfg = _tiny()

@@ -12,9 +12,11 @@ sha256 digests (first 16 hex digits) of:
 * `trained` and `losses`: its tensors and per-epoch training losses after
   2 epochs of `train` on 24 labelled synthetic requests.
 
-Synthetic requests fill every history slot, so a second set of keys runs on
-a small simulated world (`WORLD`, desk shapes at its vocabulary), whose
-histories are sparse, and empty for a user's first requests:
+Synthetic requests cut a full click history with the builder logged requests
+use (`build_position_behavior_sequences`), so every history slot is filled.
+A second set of keys runs on a small simulated world (`WORLD`, desk shapes
+at its vocabulary), whose histories are sparse, and empty for a user's first
+requests:
 
 * `world_predict`: `predict_matrix` on the first request (no history) and
   on the last;
