@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -118,19 +119,30 @@ def score_requests(params: ParameterSet, requests: list[Request]) -> tuple[np.nd
     """
     if not requests:
         raise UsageError("score_requests needs at least one request")
-    js = np.array([r.num_candidates for r in requests])
-    order = np.argsort(js, kind="stable")
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    js = [r.num_candidates for r in requests]
+    order = sorted(range(len(js)), key=js.__getitem__)  # stable: request order within one J
+    starts = [0, *accumulate(js)]  # request i's impressions are rows starts[i]:starts[i + 1]
+    out: tuple[np.ndarray, ...] = ()
+    done = 0
     with ad.no_grad():
         for chunk in _uniform_batches(requests, order, lambda j: SCORE_BATCH_REQUESTS):
             prep = prepare_batch(chunk, params.config)
             if prep.positions is None or prep.clicks is None:
                 raise UsageError("score_requests needs requests with logged impressions")
             p = score_displayed(params, prep, positions=evaluation_positions(params, prep.positions))
-            parts.append((p.data.copy(), prep.clicks.copy(), prep.positions.copy()))
-    # each scored impression's request index; a stable sort puts the impressions back in request order
-    back = np.argsort(np.repeat(order, js[order]), kind="stable")
-    return tuple(np.concatenate(column)[back] for column in zip(*parts))
+            columns = (p.data, prep.clicks, prep.positions)
+            if not out:
+                out = tuple(np.empty(starts[-1], column.dtype) for column in columns)
+            index = order[done : done + len(chunk)]
+            done += len(chunk)
+            # consecutive requests fill one slice of the output; otherwise each impression gets its row
+            if index[-1] - index[0] == len(index) - 1:
+                rows = slice(starts[index[0]], starts[index[-1] + 1])
+            else:
+                rows = np.add.outer(np.take(starts, index), np.arange(chunk[0].num_candidates)).ravel()
+            for target, column in zip(out, columns):
+                target[rows] = column
+    return out
 
 
 def evaluate(params: ParameterSet, requests: list[Request]) -> PaucReport:
