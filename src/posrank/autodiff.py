@@ -157,13 +157,7 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
 
@@ -225,18 +219,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return _make(out, (a,), vjp)
-
-
-# -- reductions -----------------------------------------------------------
-
-
-def total_sum(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum())
-
-    def vjp(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _make(data, (a,), vjp)
 
 
 # -- shape ops ------------------------------------------------------------

@@ -304,6 +304,12 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
     lengths = np.array([r.sequences.lengths for r in requests])  # [B, K+1]
     if lengths.max() > seq_len:
         raise UsageError(f"a request history sequence is longer than the model's max_len={seq_len}")
+    for req, n in zip(requests, lengths.sum(axis=1)):
+        if len(req.sequences.records) != n:
+            raise UsageError(
+                f"request {req.request_id!r} history holds {len(req.sequences.records)} records "
+                f"for sequence lengths summing to {n}"
+            )
 
     b = len(requests)
     # request-major records land on the kept slots in C order: request, sequence, step
@@ -556,6 +562,8 @@ def score_displayed(
         raise UsageError(f"score_displayed needs [{b * j}] or [{b * j}, P] positions, got {positions.shape}")
     slots = 1 if positions.ndim == 1 else positions.shape[1]
     positions = positions.reshape(-1)
+    if not np.issubdtype(positions.dtype, np.integer) or np.any((positions < 1) | (positions > k)):
+        raise UsageError(f"score_displayed slots must be integers in [1, {k}]")
 
     user = _embed_concat(params, USER_FIELDS, prep.user_ids)
     context = _embed_concat(params, CONTEXT_FIELDS, prep.context_ids)

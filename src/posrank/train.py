@@ -1,9 +1,13 @@
 """Mini-batch training on logged impressions, supervised at actual positions.
 
-Each sample is one displayed (item, position, click) triple; batches group
-whole requests of one candidate count, so the per-request interaction stage
-runs once for all of a request's impressions. Everything is seeded: the same
-data and config reproduce the checkpoint byte for byte.
+Each sample is one displayed (item, position, click) triple. Training and
+scoring draw their batches from one source, `_request_batches`: it walks
+the requests in the order it is given (the epoch's permutation, or request
+order), fills one batch per candidate count J, and yields a batch when it
+holds its cap of whole requests, so the per-request interaction stage runs
+once for all of a request's impressions and a log that mixes J still fills
+its batches. It also rejects requests without logged impressions. Everything
+is seeded: the same data and config reproduce the checkpoint byte for byte.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .metrics import PaucReport, pauc
 from .model import (
     ModelConfig,
     ParameterSet,
+    PreparedBatch,
     build_model,
     evaluation_positions,
     prepare_batch,
@@ -96,17 +101,33 @@ class TrainHistory:
 SCORE_BATCH_REQUESTS = 64  # requests per `score_displayed` call when scoring
 
 
-def _uniform_batches(requests: list[Request], order, cap) -> Iterator[list[Request]]:
-    """`requests` in `order`, cut where the candidate count J changes and after `cap(J)` requests."""
-    batch: list[Request] = []
+def _request_batches(
+    requests: list[Request], order, cap, config: ModelConfig
+) -> Iterator[tuple[list[int], PreparedBatch]]:
+    """Requests visited in `order`, grouped by candidate count J into batches of `cap(J)` requests.
+
+    One batch per J fills at a time. A batch is yielded, as its request
+    indices and its `prepare_batch` arrays, when it holds `cap(J)` requests;
+    the unfilled ones follow at the end, in the order they were started.
+    Every request must carry its logged positions and clicks.
+    """
+    pending: dict[int, list[int]] = {}
+
+    def take(j: int) -> tuple[list[int], PreparedBatch]:
+        index = pending.pop(j)
+        prep = prepare_batch([requests[i] for i in index], config)
+        if prep.clicks is None:
+            raise UsageError("training and scoring need requests with logged positions and clicks")
+        return index, prep
+
     for i in order:
         j = requests[i].num_candidates
-        if batch and (j != batch[0].num_candidates or len(batch) == cap(j)):
-            yield batch
-            batch = []
-        batch.append(requests[i])
-    if batch:
-        yield batch
+        batch = pending.setdefault(j, [])
+        batch.append(i)
+        if len(batch) == cap(j):
+            yield take(j)
+    for j in list(pending):
+        yield take(j)
 
 
 def score_requests(params: ParameterSet, requests: list[Request]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,35 +135,20 @@ def score_requests(params: ParameterSet, requests: list[Request]) -> tuple[np.nd
 
     Returns (scores, clicks, logged positions), request-major in request
     order. PAUC groups by the logged position, whatever the scored slot.
-    Requests are scored in batches of one candidate count J, visited in a
-    stable order by J, so a log that mixes counts still batches.
+    Requests are scored in batches of one candidate count J, each batch's
+    rows written to its requests' places in the output.
     """
     if not requests:
         raise UsageError("score_requests needs at least one request")
-    js = [r.num_candidates for r in requests]
-    order = sorted(range(len(js)), key=js.__getitem__)  # stable: request order within one J
-    starts = [0, *accumulate(js)]  # request i's impressions are rows starts[i]:starts[i + 1]
-    out: tuple[np.ndarray, ...] = ()
-    done = 0
+    starts = np.array([0, *accumulate(r.num_candidates for r in requests)])  # request i: rows starts[i]:starts[i + 1]
+    scores, clicks, positions = np.empty(starts[-1]), np.empty(starts[-1]), np.empty(starts[-1], np.int64)
+    batches = _request_batches(requests, range(len(requests)), lambda j: SCORE_BATCH_REQUESTS, params.config)
     with ad.no_grad():
-        for chunk in _uniform_batches(requests, order, lambda j: SCORE_BATCH_REQUESTS):
-            prep = prepare_batch(chunk, params.config)
-            if prep.positions is None or prep.clicks is None:
-                raise UsageError("score_requests needs requests with logged impressions")
+        for index, prep in batches:
             p = score_displayed(params, prep, positions=evaluation_positions(params, prep.positions))
-            columns = (p.data, prep.clicks, prep.positions)
-            if not out:
-                out = tuple(np.empty(starts[-1], column.dtype) for column in columns)
-            index = order[done : done + len(chunk)]
-            done += len(chunk)
-            # consecutive requests fill one slice of the output; otherwise each impression gets its row
-            if index[-1] - index[0] == len(index) - 1:
-                rows = slice(starts[index[0]], starts[index[-1] + 1])
-            else:
-                rows = np.add.outer(np.take(starts, index), np.arange(chunk[0].num_candidates)).ravel()
-            for target, column in zip(out, columns):
-                target[rows] = column
-    return out
+            rows = np.add.outer(starts[index], np.arange(prep.num_items)).ravel()
+            scores[rows], clicks[rows], positions[rows] = p.data, prep.clicks, prep.positions
+    return scores, clicks, positions
 
 
 def evaluate(params: ParameterSet, requests: list[Request]) -> PaucReport:
@@ -197,11 +203,10 @@ def train(
         rng = np.random.default_rng([train_config.seed, epoch])
         losses: list[float] = []
         order = rng.permutation(len(train_requests))
-        batches = _uniform_batches(train_requests, order, lambda j: max(1, train_config.batch_size // max(1, j)))
-        for batch_index, chunk in enumerate(batches):
-            prep = prepare_batch(chunk, config)
-            if prep.clicks is None:
-                raise UsageError("training requests must carry click labels")
+        batches = _request_batches(
+            train_requests, order, lambda j: max(1, train_config.batch_size // max(1, j)), config
+        )
+        for batch_index, (_, prep) in enumerate(batches):
             params.zero_grads()
             try:
                 p = score_displayed(params, prep)

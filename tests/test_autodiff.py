@@ -11,7 +11,7 @@ import posrank.autodiff as ad
 from posrank.autodiff import Optimizer, Tensor
 from posrank.errors import NumericError, UsageError
 
-from verifiers import gradient_check
+from verifiers import gradient_check, total_sum
 
 
 class TestSoftmax:
@@ -96,7 +96,7 @@ class TestGraph:
         x = rng.normal(size=(4, 7))
 
         def run():
-            return ad.total_sum(ad.softmax(ad.matmul(Tensor(x), Tensor(w, requires_grad=True)))).data
+            return total_sum(ad.softmax(ad.matmul(Tensor(x), Tensor(w, requires_grad=True)))).data
 
         assert run().tobytes() == run().tobytes()
 
@@ -113,24 +113,24 @@ class TestGraph:
 class TestBackward:
     def test_quadratic(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        ad.backward(ad.total_sum(x * x))
+        ad.backward(total_sum(x * x))
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_sigmoid_slope_at_zero(self):
         x = Tensor(np.array([0.0]), requires_grad=True)
-        ad.backward(ad.total_sum(ad.sigmoid(x)))
+        ad.backward(total_sum(ad.sigmoid(x)))
         np.testing.assert_allclose(x.grad, [0.25])
 
     def test_softmax_sum_has_zero_gradient(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=9), requires_grad=True)
-        ad.backward(ad.total_sum(ad.softmax(x)))
+        ad.backward(total_sum(ad.softmax(x)))
         np.testing.assert_allclose(x.grad, np.zeros(9), atol=1e-14)
 
     def test_unused_leaf_gets_zero_gradient(self):
         x = Tensor(np.ones(3), requires_grad=True)
         unused = Tensor(np.ones(2), requires_grad=True)
-        ad.backward(ad.total_sum(x * x))
+        ad.backward(total_sum(x * x))
         # an untouched leaf keeps grad None, which Optimizer.step rejects
         assert unused.grad is None
         np.testing.assert_allclose(x.grad, 2 * np.ones(3))
@@ -143,7 +143,7 @@ class TestBackward:
     def test_reused_tensor_accumulates(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = x * 3.0
-        ad.backward(ad.total_sum(y + y))
+        ad.backward(total_sum(y + y))
         np.testing.assert_allclose(x.grad, [6.0])
 
     @pytest.mark.parametrize("same", [True, False], ids=["add_x_x", "add_x_y"])
@@ -158,7 +158,7 @@ class TestBackward:
             x = Tensor(rng_x.copy(), requires_grad=True)
             y = Tensor(rng_y.copy(), requires_grad=True)
             s = ad.add(x, x if same else y)
-            loss = ad.total_sum(s * c) + ad.total_sum(s * s) + ad.total_sum(x * 3.0) + ad.total_sum(y * y * c)
+            loss = total_sum(s * c) + total_sum(s * s) + total_sum(x * 3.0) + total_sum(y * y * c)
             return loss, (x, y, s)
 
         rng_x, rng_y = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
@@ -224,7 +224,7 @@ class TestScatterAdd:
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = rng.integers(0, 5, size=(4, 6))
         w = rng.normal(size=(4, 6, 3))
-        ad.backward(ad.total_sum(ad.embedding(table, ids) * w))
+        ad.backward(total_sum(ad.embedding(table, ids) * w))
         ref = np.zeros((5, 3))
         np.add.at(ref, ids.ravel(), w.reshape(-1, 3))
         assert table.grad.tobytes() == ref.tobytes()
@@ -232,7 +232,7 @@ class TestScatterAdd:
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         idx = np.array([3, 0, 3, 3, 1])
         wg = rng.normal(size=(5, 3))
-        ad.backward(ad.total_sum(ad.gather_rows(x, idx) * wg))
+        ad.backward(total_sum(ad.gather_rows(x, idx) * wg))
         ref = np.zeros((4, 3))
         np.add.at(ref, idx, wg)
         assert x.grad.tobytes() == ref.tobytes()
@@ -255,46 +255,46 @@ def _op_cases():
     c_att = np.random.default_rng(8).normal(size=(3, 2, 5))  # its own stream: the other cases keep their draws
     return [
         ("matmul", {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))},
-         lambda t: ad.total_sum(ad.matmul(t["a"], t["b"]))),
+         lambda t: total_sum(ad.matmul(t["a"], t["b"]))),
         ("bmm", {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(2, 4, 2))},
-         lambda t: ad.total_sum(ad.bmm(t["a"], t["b"]))),
+         lambda t: total_sum(ad.bmm(t["a"], t["b"]))),
         ("add_broadcast", {"x": rng.normal(size=(4, 3)), "b": rng.normal(size=3)},
-         lambda t: ad.total_sum((t["x"] + t["b"]) * (t["x"] + t["b"]))),
+         lambda t: total_sum((t["x"] + t["b"]) * (t["x"] + t["b"]))),
         ("mul_broadcast", {"x": rng.normal(size=(4, 3)), "m": rng.normal(size=(4, 1))},
-         lambda t: ad.total_sum(t["x"] * t["m"])),
+         lambda t: total_sum(t["x"] * t["m"])),
         ("relu", {"x": rng.normal(size=(5, 4)) + 0.05},
-         lambda t: ad.total_sum(ad.relu(t["x"]) * ad.relu(t["x"]))),
+         lambda t: total_sum(ad.relu(t["x"]) * ad.relu(t["x"]))),
         ("sigmoid", {"x": rng.normal(size=9)},
-         lambda t: ad.total_sum(ad.sigmoid(t["x"]) * np.arange(9.0))),
+         lambda t: total_sum(ad.sigmoid(t["x"]) * np.arange(9.0))),
         ("softmax", {"x": rng.normal(size=(3, 6))},
-         lambda t: ad.total_sum(ad.softmax(t["x"]) * c_soft)),
+         lambda t: total_sum(ad.softmax(t["x"]) * c_soft)),
         ("masked_softmax", {"x": rng.normal(size=(3, 5))},
-         lambda t: ad.total_sum(ad.softmax(t["x"] + Tensor((1.0 - mask) * -1e9)) * mask)),
+         lambda t: total_sum(ad.softmax(t["x"] + Tensor((1.0 - mask) * -1e9)) * mask)),
         ("layer_norm", {"x": rng.normal(size=(4, 6)), "g": rng.normal(size=6), "b": rng.normal(size=6)},
-         lambda t: ad.total_sum(ad.layer_norm(t["x"], t["g"], t["b"]) * c_ln)),
+         lambda t: total_sum(ad.layer_norm(t["x"], t["g"], t["b"]) * c_ln)),
         ("embedding", {"table": rng.normal(size=(6, 3))},
-         lambda t: ad.total_sum(ad.embedding(t["table"], ids) * c_emb)),
+         lambda t: total_sum(ad.embedding(t["table"], ids) * c_emb)),
         ("gather_rows", {"x": rng.normal(size=(4, 3))},
-         lambda t: ad.total_sum(ad.gather_rows(t["x"], idx) * c_gather)),
+         lambda t: total_sum(ad.gather_rows(t["x"], idx) * c_gather)),
         ("concat_reshape", {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 4))},
-         lambda t: ad.total_sum(ad.reshape(ad.concat([t["a"], t["b"]], axis=1), (2, 9)) * c_cat)),
+         lambda t: total_sum(ad.reshape(ad.concat([t["a"], t["b"]], axis=1), (2, 9)) * c_cat)),
         ("repeat_rows", {"x": rng.normal(size=(3, 4))},
-         lambda t: ad.total_sum(ad.repeat_rows(t["x"], 2) * 1.5)),
+         lambda t: total_sum(ad.repeat_rows(t["x"], 2) * 1.5)),
         # (2, 0, 3, 1) is not its own inverse, so a VJP that reapplied it would fail
         ("transpose", {"x": rng.normal(size=(2, 3, 4, 5))},
-         lambda t: ad.total_sum(ad.transpose(t["x"], (2, 0, 3, 1)) * c_perm)),
+         lambda t: total_sum(ad.transpose(t["x"], (2, 0, 3, 1)) * c_perm)),
         ("bce", {"logits": rng.normal(size=8)},
          lambda t: ad.binary_cross_entropy(ad.sigmoid(t["logits"]), labels)),
         ("additive_scores",
          {"r": rng.normal(size=(3, 5, 4)), "q": rng.normal(size=(3, 2, 4)), "w": rng.normal(size=(4, 1))},
-         lambda t: ad.total_sum(ad.additive_scores(t["r"], t["q"], t["w"]) * c_att)),
+         lambda t: total_sum(ad.additive_scores(t["r"], t["q"], t["w"]) * c_att)),
     ]
 
 
 class TestGradientCheck:
     def test_quadratic_is_exact_to_roundoff(self):
         params = {"p": Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)}
-        err = gradient_check(lambda t: ad.total_sum(t["p"] * t["p"]), params, epsilon=1e-6)
+        err = gradient_check(lambda t: total_sum(t["p"] * t["p"]), params, epsilon=1e-6)
         assert err < 1e-9
 
     @pytest.mark.parametrize("name,arrays,build", _op_cases(), ids=[c[0] for c in _op_cases()])
@@ -306,7 +306,7 @@ class TestGradientCheck:
     def test_epsilon_bounds_enforced(self):
         params = {"p": Tensor(np.ones(2), requires_grad=True)}
         with pytest.raises(UsageError):
-            gradient_check(lambda t: ad.total_sum(t["p"]), params, epsilon=0.5)
+            gradient_check(lambda t: total_sum(t["p"]), params, epsilon=0.5)
 
 
 class TestOptimizer:
@@ -415,7 +415,7 @@ class TestElementwiseProperties:
     def test_no_grad_blocks_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            y = ad.total_sum(x * 2.0)
+            y = total_sum(x * 2.0)
         assert not y.requires_grad
 
 
@@ -561,7 +561,7 @@ def _unfused_scores(r: Tensor, q: Tensor, w: Tensor) -> Tensor:
 def _scores_and_grads(op, r, q, w, c):
     leaves = [Tensor(x, requires_grad=True) for x in (r, q, w)]
     out = op(*leaves)
-    ad.backward(ad.total_sum(out * c))
+    ad.backward(total_sum(out * c))
     return [out.data] + [t.grad for t in leaves]
 
 

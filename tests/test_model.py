@@ -501,6 +501,16 @@ class TestPrepareBatch:
             with pytest.raises(UsageError, match="positions"):
                 prepare_batch([req], cfg)
 
+    @pytest.mark.parametrize("change", [-1, 1], ids=["record_too_few", "record_too_many"])
+    def test_records_must_fill_the_sequence_lengths(self, change):
+        cfg = tiny_config()
+        req = labeled_request(cfg, seed=17)
+        req.request_id = "r17"
+        records = req.sequences.records
+        req.sequences.records = records[:-1] if change < 0 else np.concatenate([records, records[:1]])
+        with pytest.raises(UsageError, match="'r17'"):
+            prepare_batch([labeled_request(cfg, seed=18), req], cfg)
+
     def test_labelled_and_unlabelled_requests_do_not_mix(self):
         cfg = tiny_config()
         unlabelled = synthetic_request(cfg, cfg.max_position, seed=3)
@@ -636,6 +646,21 @@ class TestPredictMatrix:
         prep = prepare_batch([labeled_request(cfg, seed=17)], cfg)
         with pytest.raises(UsageError, match="positions"):
             score_displayed(params, prep, np.ones(cfg.max_position + 1, dtype=np.int64))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_slots_outside_the_positions_rejected(self, variant):
+        cfg = tiny_config()
+        params = build_model(cfg, variant, seed=10)
+        prep = prepare_batch([labeled_request(cfg, seed=s) for s in (17, 18)], cfg)
+        rows = prep.size * prep.num_items
+        for bad in (0, cfg.max_position + 1):
+            column = np.ones(rows, dtype=np.int64)
+            column[-1] = bad
+            grid = np.tile(np.arange(1, cfg.max_position + 1), (rows, 1))
+            grid[0, -1] = bad
+            for positions in (column, grid, np.full(rows, 1.5)):
+                with pytest.raises(UsageError, match=rf"\[1, {cfg.max_position}\]"):
+                    score_displayed(params, prep, positions)
 
 
 def _corrupt_ids(req, cfg: ModelConfig, case: str, variant: str) -> None:

@@ -10,6 +10,7 @@ from posrank.autodiff import Tensor, backward, binary_cross_entropy
 from posrank.errors import NumericError, UsageError
 from posrank.metrics import pauc
 from posrank.model import build_model, prepare_batch, save_checkpoint, score_displayed
+from posrank.serving import synthetic_request
 from posrank.train import (
     TrainConfig,
     evaluate,
@@ -189,6 +190,24 @@ class TestEvaluationProtocols:
             with pytest.raises(UsageError, match="at least one request"):
                 entry(params, [])
 
+    def test_unlabelled_requests_are_rejected_with_one_message(self):
+        cfg = tiny_config()
+        params = build_model(cfg, "DPIN", seed=3)
+        unlabelled = [synthetic_request(cfg, cfg.max_position, seed=s) for s in (1, 2)]
+        tc = TrainConfig(batch_size=6, epochs=1, seed=4)
+        calls = (
+            lambda: train(unlabelled, cfg, "DPIN", tc),
+            lambda: train(_toy_requests(cfg, 2), cfg, "DPIN", tc, val_requests=unlabelled),
+            lambda: score_requests(params, unlabelled),
+            lambda: evaluate(params, unlabelled),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(UsageError, match="logged positions and clicks") as caught:
+                call()
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+
 
 def _mixed_requests(cfg, counts, seed0=60):
     """Labelled requests displaying `counts[i]` items each, clicks alternating from the first."""
@@ -213,6 +232,19 @@ def _record_batches(monkeypatch) -> list[list]:
     return batches
 
 
+def _assert_grouped_by_candidate_count(batches, requests, cap):
+    """One J and at most cap(J) requests per batch, every request once, at most one unfilled batch per J."""
+    index = {id(r): i for i, r in enumerate(requests)}
+    assert sorted(index[id(r)] for b in batches for r in b) == list(range(len(requests)))
+    unfilled = []
+    for b in batches:
+        (j,) = {r.num_candidates for r in b}
+        assert len(b) <= cap(j)
+        if len(b) < cap(j):
+            unfilled.append(j)
+    assert len(unfilled) == len(set(unfilled))
+
+
 class TestMixedCandidateCounts:
     def test_evaluation_scores_requests_of_different_candidate_counts(self, monkeypatch):
         cfg = tiny_config()
@@ -225,27 +257,16 @@ class TestMixedCandidateCounts:
         # request order, and each request's scores bit for bit as scored alone
         for got, want in zip((scores, clicks, positions), zip(*alone)):
             assert got.tobytes() == np.concatenate(want).tobytes()
-        # visited in a stable order by J, at most 2 requests per batch
-        assert [[r.num_candidates for r in b] for b in batches] == [[1], [2, 2], [3, 3], [3, 3], [3]]
+        _assert_grouped_by_candidate_count(batches, requests, lambda j: 2)
         report = evaluate(params, requests)
         assert report.pauc == pauc(scores, clicks, positions).pauc
 
     def test_training_batches_hold_one_candidate_count(self, monkeypatch):
         cfg = tiny_config()
         requests = _mixed_requests(cfg, [3, 2, 3, 2, 2, 3, 1, 2, 3])
-        index = {id(r): i for i, r in enumerate(requests)}
         batches = _record_batches(monkeypatch)
         train(requests, cfg, "DPIN", TrainConfig(batch_size=6, epochs=1, seed=4, eval_every=0))
-
-        def cap(j):
-            return max(1, 6 // j)
-
-        js = [[r.num_candidates for r in b] for b in batches]
-        assert all(len(set(b)) == 1 and len(b) <= cap(b[0]) for b in js)
-        # the epoch's permutation, cut only where J changes or a batch is full
-        order = np.random.default_rng([4, 1]).permutation(len(requests)).tolist()
-        assert [index[id(r)] for b in batches for r in b] == order
-        assert all(prev[0] != nxt[0] or len(prev) == cap(prev[0]) for prev, nxt in zip(js, js[1:]))
+        _assert_grouped_by_candidate_count(batches, requests, lambda j: max(1, 6 // j))
 
     def test_training_validates_on_requests_of_different_candidate_counts(self):
         cfg = tiny_config()

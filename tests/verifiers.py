@@ -2,7 +2,8 @@
 
 `auc_oracle` counts AUC pairs explicitly; `gradient_check` compares the
 tape's gradients with central finite differences; `exhaustive_allocate`
-enumerates every slot assignment of a small instance.
+enumerates every slot assignment of a small instance. `total_sum` reduces a
+tensor to the scalar loss that `backward` and `gradient_check` need.
 """
 
 import itertools
@@ -10,7 +11,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from posrank.autodiff import Tensor, backward
+from posrank.autodiff import Tensor, backward, matmul, reshape
 from posrank.errors import NumericError, UndefinedMetricError, UsageError
 from posrank.serving import Allocation, _check_instance
 
@@ -26,6 +27,12 @@ def auc_oracle(scores, labels) -> float:
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
+
+
+def total_sum(a: Tensor) -> Tensor:
+    """The sum of every entry of `a` as a scalar tensor: a product with a column of ones."""
+    n = a.data.size
+    return reshape(matmul(reshape(a, (1, n)), Tensor(np.ones((n, 1)))), ())
 
 
 def gradient_check(

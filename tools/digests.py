@@ -23,7 +23,10 @@ requests:
 * `world_scores`: `score_requests` on every request, in batches of many
   requests with unequal histories;
 * `world_trained` and `world_losses`: one epoch of `train` on the requests
-  before the last day, several requests per batch.
+  before the last day, several requests per batch;
+* `world_mixed_scores` and `world_mixed_trained`: the same scoring and
+  training after the last impression of every third request is dropped,
+  so the log mixes two candidate counts J and batches group requests by J.
 
 The package comes from PYTHONPATH, so one copy of this script compares the
 sources of any two checkouts: equal digests mean equal bytes.
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -83,6 +87,16 @@ def world_requests(seed: int) -> tuple[ModelConfig, list]:
     return cfg, group_requests(impressions, vocab, history, cfg.max_position, cfg.max_len)
 
 
+def mixed_candidate_counts(requests: list) -> list:
+    """Copies of `requests` without the last impression of every third one: J and J - 1 mixed."""
+    return [
+        replace(r, candidates=r.candidates[:-1], positions=r.positions[:-1], clicks=r.clicks[:-1])
+        if i % 3 == 0 and r.num_candidates > 1
+        else r
+        for i, r in enumerate(requests)
+    ]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -91,6 +105,7 @@ def main() -> None:
     requests = labelled_requests(cfg, args.seed)
     world_cfg, logged = world_requests(args.seed)
     last_day = max(r.day for r in logged)
+    mixed = mixed_candidate_counts(logged)
     out = {}
     for variant in VARIANTS:
         params = build_model(cfg, variant, args.seed)
@@ -108,6 +123,10 @@ def main() -> None:
         trained, history = train(fit, world_cfg, variant, TrainConfig(seed=args.seed, **WORLD_TRAIN_CONFIG))
         row["world_trained"] = tensors_digest(trained)
         row["world_losses"] = digest(np.array([e.train_loss for e in history.epochs]))
+        row["world_mixed_scores"] = digest(*score_requests(params, mixed))
+        fit = [r for r in mixed if r.day < last_day]
+        trained, _ = train(fit, world_cfg, variant, TrainConfig(seed=args.seed, **WORLD_TRAIN_CONFIG))
+        row["world_mixed_trained"] = tensors_digest(trained)
         out[variant] = row
     print(json.dumps(out, indent=1))
 
