@@ -31,20 +31,25 @@ one or two threads, not a documented BLAS guarantee; ``TestRowStableKernels``
 guards it up to k = 1,200, n = 700 and 90 rows.
 
 ``additive_scores`` is one fused op for DIN's activation unit, ``relu(r[:,
-None] + q[:, :, None]) @ w`` over records r [n, L, h] and queries q [n, m,
-h]. Built whole, its hidden layer [n, m, L, h] dwarfs everything else the
+None] + q[segment]) @ w`` over packed records r [R, h], each belonging to
+the sequence ``segment[r]``, and queries q [n, m, h], m per sequence. Only
+real records come in: a caller keeps its sequences back to back, with no
+padding. Built whole, the hidden layer [R, m, h] dwarfs everything else the
 attention holds (a paper-scale DPIN+ItemAction request at J = 50 has 192 MB
-of it). The op builds it in blocks of whole sequences of at most
-``_SCORE_BLOCK`` floats in one reused buffer, sums and ReLUs each block in
-place and scores it with the per-row (n == 1) kernel above, so every score
-keeps the bits of the unfused product; a sequence larger than a block is
-a block of its own. Why 2^17 floats (1 MiB): scoring a 64-request desk
-DPIN+ItemAction batch (J = 12, 11 sequences per block) took 108-115 ms at
-2^13 to 2^17 (medians over 6 interleaved rounds, within the host's noise)
-and 120-130 ms at 2^19 and 2^21; 2^17 is the largest fast size, so it runs
-the fewest Python iterations. At paper scale one sequence (192,000 floats
-at J = 10) already exceeds it. The VJP rebuilds the hidden layer whole
-once.
+of it). The op builds it in blocks of whole records of at most
+``_SCORE_BLOCK`` floats in one reused buffer: it gathers each record's
+queries into the buffer (``np.take`` in "clip" mode, since "raise" fills a
+copy and then the buffer, 4x the cost), adds the records and ReLUs in place,
+and scores the block with the per-row (n == 1) kernel above, so every score
+keeps the bits of the unfused product; a record larger than a block is a
+block of its own. Why 2^17 floats (1 MiB): scoring a 64-request desk
+DPIN+ItemAction batch with full histories (J = 12, 341 records per block)
+took 136-140 ms at 2^15 to 2^19, 147 ms at 2^13, 149 ms at 2^21 and 188 ms
+at 2^11 (medians over 20 interleaved rounds, one BLAS thread); 2^17 is the
+middle of the fast sizes and keeps the buffer at 1 MiB, which the
+inference memory bound of the attention needs. The VJP rebuilds the hidden
+layer whole once; it sums each sequence's query gradients in record order
+(``_sequence_sums``).
 
 Gradients are built lazily: each op records its parents and a vector-
 Jacobian closure; ``backward`` walks the tape in reverse topological
@@ -88,6 +93,8 @@ def no_grad():
 _BLOCK = 8
 # floats of hidden layer per block in additive_scores (see the module docstring)
 _SCORE_BLOCK = 1 << 17
+# mean elements per sequence from which `_sequence_sums` sums each sequence in its own numpy call
+_SUM_LOOP_MIN = 512
 
 
 def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,6 +329,28 @@ def _scatter_add_rows(rows: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarra
     return out.reshape(n_rows, dim)
 
 
+def _sequence_sums(segment: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of `g` ([R, dim]) of each sequence into [n, dim]; `segment` is non-decreasing.
+
+    Every sum runs in row order from zero, as `_scatter_add_rows` adds it,
+    so both ways below give the same bits. Long sequences take one numpy
+    sum over their adjacent rows each, whose cost is per sequence; short
+    ones take one `_scatter_add_rows`, whose cost is per element (DIN's 87
+    rows of 320 floats in 3 sequences: 21 µs against 97 µs; DPIN's 69 rows
+    of 32 floats in 30 sequences: 43 µs against 11 µs). A one-column sum
+    would run pairwise, so one column always takes `_scatter_add_rows`.
+    """
+    if g.size < _SUM_LOOP_MIN * n or g.shape[1] < 2:
+        return _scatter_add_rows(segment, g, n)
+    out = np.zeros((n, g.shape[1]))
+    bounds = np.searchsorted(segment, np.arange(n + 1)).tolist()  # sequence i holds rows bounds[i]:bounds[i+1]
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if hi > lo:
+            # rows one after another (a 2-D sum over axis 0), then onto zero: a -0.0 total reads +0.0
+            out[i] += g[lo:hi].sum(axis=0)
+    return out
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows of a matrix by integer index (rows may repeat)."""
     a = _coerce(a)
@@ -381,50 +410,84 @@ def softmax(a: Tensor) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def additive_scores(records: Tensor, queries: Tensor, w: Tensor) -> Tensor:
-    """relu(records[:, None] + queries[:, :, None]) @ w, never holding the hidden layer whole.
+def scatter_rows(a: Tensor, rows, n_rows: int, fill: float = 0.0) -> Tensor:
+    """Place the rows of a matrix at distinct rows of an [n_rows, dim] matrix of `fill`.
 
-    records [n, L, h], queries [n, m, h], w [h, 1] -> [n, m, L]: entry
-    (i, j, l) scores record l of sequence i against its query j. The
-    [n, m, L, h] hidden layer is built, ReLU'd in place and scored in blocks
-    of whole sequences of at most `_SCORE_BLOCK` floats (see the module
-    docstring), each through the per-row kernel of `matmul` with w, so every
-    score has the bits of the unfused `matmul(relu(r + q), w)`. The VJP
-    rebuilds the hidden layer whole once and returns the unfused gradients:
-    the records' and queries' are its sums over m and L, w's the single
-    product hidden.T @ g.
+    Row i of `a` lands on row ``rows[i]``; the other rows hold `fill` and get
+    no gradient. The VJP gathers the placed rows back. The rows must be
+    distinct: a repeated row keeps only its last value.
     """
-    records, queries, w = _coerce(records), _coerce(queries), _coerce(w)
-    shapes = f"records {records.shape}, queries {queries.shape}, w {w.shape}"
-    if records.ndim != 3 or queries.ndim != 3 or queries.shape[::2] != records.shape[::2]:
-        raise UsageError(f"additive_scores needs [n, L, h] records and [n, m, h] queries, got {shapes}")
-    if w.shape != (records.shape[2], 1):
-        raise UsageError(f"additive_scores needs an [h, 1] weight, got {shapes}")
-    n, seq_len, h = records.shape
-    m = queries.shape[1]
-
-    def hidden(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.add(records.data[lo:hi, None], queries.data[lo:hi, :, None], out=out)
-        return np.maximum(out, 0.0, out=out)
-
-    data = np.empty((n, m, seq_len))
-    per_sequence = m * seq_len * h
-    step = max(1, _SCORE_BLOCK // max(1, per_sequence))
-    buf = np.empty(min(step, n) * per_sequence)  # every block reuses this memory
-    for lo in range(0, n, step):
-        nb = min(step, n - lo)
-        block = hidden(lo, lo + nb, buf[: nb * per_sequence].reshape(nb, m, seq_len, h))
-        data[lo : lo + nb] = _row_stable_matmul(block.reshape(-1, h), w.data).reshape(nb, m, seq_len)
+    a = _coerce(a)
+    rows = np.asarray(rows)
+    if a.ndim != 2:
+        raise UsageError(f"scatter_rows needs a matrix, got shape {a.shape}")
+    if rows.shape != a.shape[:1] or not np.issubdtype(rows.dtype, np.integer):
+        raise UsageError(f"scatter_rows needs one integer row per input row, got {rows.shape} for {a.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise UsageError(f"scatter_rows index out of range [0, {n_rows})")
+    data = np.full((n_rows, a.shape[1]), fill)
+    data[rows] = a.data
 
     def vjp(g):
-        hid = hidden(0, n)
-        rows = g.reshape(-1, 1)
-        g_hid = (rows @ w.data.swapaxes(-1, -2)).reshape(hid.shape)
+        return (g[rows],)
+
+    return _make(data, (a,), vjp)
+
+
+def additive_scores(records: Tensor, queries: Tensor, segment, w: Tensor) -> Tensor:
+    """relu(records[:, None] + queries[segment]) @ w, never holding the hidden layer whole.
+
+    records [R, h] are the rows of n sequences, grouped by sequence: record
+    r belongs to sequence ``segment[r]``, a non-decreasing index in [0, n).
+    queries [n, m, h], w [h, 1] -> [R, m]: entry (r, j) scores record r
+    against query j of its sequence. The [R, m, h] hidden layer is built,
+    ReLU'd in place and scored in blocks of whole records of at most
+    `_SCORE_BLOCK` floats (see the module docstring), each through the
+    per-row kernel of `matmul` with w, so every score has the bits of the
+    unfused `matmul(relu(r + q), w)`. The VJP rebuilds the hidden layer
+    whole once and returns the unfused gradients: the records' are its sums
+    over m, the queries' its sums over each sequence's records, w's the
+    single product hidden.T @ g.
+    """
+    records, queries, w = _coerce(records), _coerce(queries), _coerce(w)
+    segment = np.asarray(segment)
+    shapes = f"records {records.shape}, queries {queries.shape}, segment {segment.shape}, w {w.shape}"
+    if records.ndim != 2 or queries.ndim != 3 or queries.shape[2] != records.shape[1]:
+        raise UsageError(f"additive_scores needs [R, h] records and [n, m, h] queries, got {shapes}")
+    if w.shape != (records.shape[1], 1):
+        raise UsageError(f"additive_scores needs an [h, 1] weight, got {shapes}")
+    if segment.shape != records.shape[:1] or not np.issubdtype(segment.dtype, np.integer):
+        raise UsageError(f"additive_scores needs one integer segment per record, got {shapes}")
+    r_count, h = records.shape
+    n, m = queries.shape[:2]
+    if r_count and (segment[0] < 0 or segment[-1] >= n or np.any(segment[1:] < segment[:-1])):
+        raise UsageError(f"additive_scores segments must be non-decreasing in [0, {n}), got {shapes}")
+
+    def hidden(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        # the segments are checked above: "clip" never clips, and unlike
+        # "raise" it writes straight into `out` instead of through a buffer
+        out = np.take(queries.data, segment[lo:hi], axis=0, out=out, mode="clip")
+        out += records.data[lo:hi, None]
+        return np.maximum(out, 0.0, out=out)
+
+    data = np.empty((r_count, m))
+    per_record = m * h
+    step = max(1, _SCORE_BLOCK // max(1, per_record))
+    buf = np.empty(min(step, r_count) * per_record)  # every block reuses this memory
+    for lo in range(0, r_count, step):
+        nb = min(step, r_count - lo)
+        block = hidden(lo, lo + nb, buf[: nb * per_record].reshape(nb, m, h))
+        data[lo : lo + nb] = _row_stable_matmul(block.reshape(-1, h), w.data).reshape(nb, m)
+
+    def vjp(g):
+        hid = hidden(0, r_count)
+        # one product per element, as the k = 1 matmul g @ w.T makes it, without its slow path
+        g_hid = g[:, :, None] * w.data[:, 0]
         g_hid *= hid > 0.0
         return (
-            _unbroadcast(g_hid, (n, 1, seq_len, h)).reshape(records.shape),
-            _unbroadcast(g_hid, (n, m, 1, h)).reshape(queries.shape),
-            hid.reshape(-1, h).swapaxes(-1, -2) @ rows,
+            _unbroadcast(g_hid, (r_count, 1, h)).reshape(records.shape),
+            _sequence_sums(segment, g_hid.reshape(r_count, per_record), n).reshape(queries.shape),
+            hid.reshape(-1, h).swapaxes(-1, -2) @ g.reshape(-1, 1),
         )
 
     return _make(data, (records, queries, w), vjp)

@@ -30,9 +30,16 @@ which scores each sequence against all of its queries at once: DIN pools a
 request's flat history against its J item queries, DPIN each position
 sequence against the request context, and `DPIN+ItemAction` each position
 sequence against J (context, item) queries - J queries per sequence, not J
-copies of the history. Records and queries meet block by block in
-`autodiff.additive_scores`, so the [N, M, L, d_model] hidden layer of the
-attention is never held whole.
+copies of the history. A batch carries its histories packed, every
+request's K + 1 sequences back to back with no padding, and only real
+records are embedded, projected and scored: the per-position sequences are
+mostly short (clicks pile up at the top slots), so a padded [B, K, L] grid
+would be mostly padding. Records and queries meet block by block in
+`autodiff.additive_scores`, so the [R, M, d_model] hidden layer of the
+attention is never held whole. The scores and records are then placed in
+padded [N, M, L] logits and an [N, L, D] grid for the softmax and the
+pooling, which keeps every pooled row's bits as when the whole grid was
+scored.
 
 Tensor names say a parameter's role, not its variant. Affine layer `name`
 owns weight `name.w` and bias `name.b`: `base.{i}`, the one attention's
@@ -271,26 +278,27 @@ def build_model(config: ModelConfig, variant: str, seed: int) -> ParameterSet:
 
 @dataclass
 class PreparedBatch:
-    """Dense id arrays for a batch of requests with a uniform candidate count."""
+    """Id arrays for a batch of requests with a uniform candidate count; histories packed."""
 
     size: int  # number of requests B
     num_items: int  # candidates per request J
     user_ids: np.ndarray  # [B, 2]
     context_ids: np.ndarray  # [B, 4]
     item_ids: np.ndarray  # [B*J, 2], request-major
-    seq_ids: np.ndarray  # [B, K+1, L, 7], zero-padded: sequence 0 for DIN, 1..K for DPIN
-    seq_mask: np.ndarray  # [B, K+1, L] float 0/1
+    records: np.ndarray  # [R, 7]: each request's K + 1 sequences back to back, request-major, no padding
+    lengths: np.ndarray  # [B, K+1] rows per sequence, each <= L: sequence 0 for DIN, 1..K for DPIN
     positions: np.ndarray | None = None  # [B*J] logged display positions
     clicks: np.ndarray | None = None  # [B*J] float 0/1
 
 
 def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch:
-    """Stack requests into dense arrays; histories must come cut to K + 1 sequences of <= L rows.
+    """Stack requests into arrays; histories must come cut to K + 1 sequences of 0..L rows.
 
-    Nothing is cut here: `build_position_behavior_sequences` cuts a history
-    at the model's K and L. Logged labels are kept when every request
-    carries them; a request must then have one position in [1, K] and one
-    click per candidate.
+    Nothing is cut or padded here: `build_position_behavior_sequences` cuts
+    a history at the model's K and L, and the batch's records are the
+    requests' records back to back. Logged labels are kept when every
+    request carries them; a request must then have one position in [1, K]
+    and one click per candidate.
     """
     if not requests:
         raise UsageError("prepare_batch needs at least one request")
@@ -301,21 +309,17 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
         raise UsageError("all requests in a batch must have the same candidate count")
     if any(len(r.sequences.lengths) != k_max + 1 for r in requests):
         raise UsageError(f"request histories must hold {k_max + 1} sequences: the position-blind one and K={k_max}")
-    lengths = np.array([r.sequences.lengths for r in requests])  # [B, K+1]
+    lengths = np.array([r.sequences.lengths for r in requests], dtype=np.int64)  # [B, K+1]
     if lengths.max() > seq_len:
         raise UsageError(f"a request history sequence is longer than the model's max_len={seq_len}")
-    for req, n in zip(requests, lengths.sum(axis=1)):
-        if len(req.sequences.records) != n:
+    for req, row in zip(requests, lengths):
+        if row.min() < 0 or len(req.sequences.records) != row.sum():
             raise UsageError(
                 f"request {req.request_id!r} history holds {len(req.sequences.records)} records "
-                f"for sequence lengths summing to {n}"
+                f"for sequence lengths {row.tolist()}"
             )
 
     b = len(requests)
-    # request-major records land on the kept slots in C order: request, sequence, step
-    seq_kept = np.arange(seq_len) < lengths[..., None]  # [B, K+1, L]
-    seq_ids = np.zeros(seq_kept.shape + (len(HISTORY_COLUMNS),), dtype=np.int64)
-    seq_ids[seq_kept] = np.concatenate([r.sequences.records for r in requests])
 
     labelled = [bool(r.positions or r.clicks) for r in requests]
     positions = clicks = None
@@ -341,8 +345,8 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
         item_ids=np.array([c.item_ids for r in requests for c in r.candidates], dtype=np.int64).reshape(
             b * n_items, len(ITEM_FIELDS)
         ),
-        seq_ids=seq_ids,
-        seq_mask=seq_kept.astype(np.float64),
+        records=np.concatenate([r.sequences.records for r in requests]),
+        lengths=lengths,
         positions=positions,
         clicks=clicks,
     )
@@ -366,12 +370,22 @@ def _embed_concat(params: ParameterSet, fields: tuple[str, ...], ids: np.ndarray
 
 
 def behavior_embedding(params: ParameterSet, ids: np.ndarray) -> Tensor:
-    """Embed historical clicks: ids [..., 7] in HISTORY_COLUMNS order -> [N, 7*d].
+    """Embed historical clicks: ids [R, 7] in HISTORY_COLUMNS order -> [R, 7*d].
 
     Each row concatenates the clicked item's fields, the click-time context
     and the recency bucket.
     """
     return _embed_concat(params, HISTORY_COLUMNS, ids)
+
+
+def _history(prep: PreparedBatch, per_position: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The records [R', 7] and lengths of sequences 1..K of every request, or of sequence 0."""
+    lengths = prep.lengths
+    # whether each record belongs to a sequence 0
+    flat = np.repeat(np.arange(lengths.size) % lengths.shape[1] == 0, lengths.reshape(-1))
+    if per_position:
+        return prep.records[~flat], lengths[:, 1:].reshape(-1)
+    return prep.records[flat], lengths[:, 0]
 
 
 def base_module_forward(params: ParameterSet, user: Tensor, context: Tensor, items: Tensor) -> Tensor:
@@ -391,49 +405,76 @@ def base_module_forward(params: ParameterSet, user: Tensor, context: Tensor, ite
     return x
 
 
-def _attention_logits(params: ParameterSet, seq_embeddings: Tensor, query: Tensor) -> Tensor:
-    """`att.score` of ReLU(`att.hidden` of [record, query]) -> [N, M, L] (see `interest_aggregation`).
+def _attention_logits(
+    params: ParameterSet, records: Tensor, segment: np.ndarray, place: np.ndarray | None, query: Tensor, n: int
+) -> Tensor:
+    """`att.score` of ReLU(`att.hidden` of [record, query]) in [N, M, L] logits (see `interest_aggregation`).
 
-    Its projections and the unmasked scores die with the call, before the
-    softmax and the pooling allocate theirs.
+    The projections die as the scores are made, and the packed scores with
+    the call, before the softmax and the pooling allocate theirs.
     """
-    n, seq_len, dim = seq_embeddings.shape
-    m = query.shape[0] // n
-    wa = params.tensors["att.hidden.w"]
-    records = ad.matmul(ad.reshape(seq_embeddings, (n * seq_len, dim)), ad.gather_rows(wa, np.arange(dim)))
-    queries = ad.matmul(query, ad.gather_rows(wa, np.arange(dim, wa.shape[0]))) + params.tensors["att.hidden.b"]
+    dim, m, seq_len = records.shape[1], query.shape[0] // n, params.config.max_len
+    wa, ba = params.tensors["att.hidden.w"], params.tensors["att.hidden.b"]
     scores = ad.additive_scores(
-        ad.reshape(records, (n, seq_len, -1)), ad.reshape(queries, (n, m, -1)), params.tensors["att.score.w"]
+        ad.matmul(records, ad.gather_rows(wa, np.arange(dim))),
+        ad.reshape(ad.matmul(query, ad.gather_rows(wa, np.arange(dim, wa.shape[0]))) + ba, (n, m, -1)),
+        segment,
+        params.tensors["att.score.w"],
     )
     # the bias goes on as an affine layer adds it, to one logit per row
-    return ad.reshape(ad.reshape(scores, (n * m * seq_len, 1)) + params.tensors["att.score.b"], (n, m, seq_len))
+    logits = ad.reshape(ad.reshape(scores, (scores.shape[0] * m, 1)) + params.tensors["att.score.b"], (-1, m))
+    if place is not None:
+        # padding steps get -1e9, so their softmax weight underflows to 0
+        logits = ad.scatter_rows(logits, place, n * seq_len, _MASK_OFF)
+    if m > 1:
+        # [N, L, M] -> [N, M, L], copied: the softmax must meet each row contiguous to sum it as before
+        logits = ad.reshape(ad.transpose(ad.reshape(logits, (n, seq_len, m)), (0, 2, 1)), (-1,))
+    return ad.reshape(logits, (n, m, seq_len))
 
 
-def interest_aggregation(
-    params: ParameterSet,
-    seq_embeddings: Tensor,
-    mask: np.ndarray,
-    query: Tensor,
-) -> Tensor:
+def interest_aggregation(params: ParameterSet, records: Tensor, lengths: np.ndarray, query: Tensor) -> Tensor:
     """Attention-pool each behavior sequence against each of its queries.
 
-    seq_embeddings [N, L, D], mask [N, L] (1 = real record), query [N*M, Q]
-    with rows n*M .. n*M+M-1 querying sequence n -> [N*M, D]. A record's
-    attention logit is `att.score` of ReLU(`att.hidden` of [record, query]):
-    records and queries are projected once each, through their row blocks
-    of `att.hidden.w` (the bias rides on the query rows), and meet block by
-    block in `autodiff.additive_scores`, so no sequence is copied per query
-    and the [N, M, L, d_model] hidden layer is never held whole. Padding
-    slots get zero weight; an all-padding sequence pools to zeros.
+    records [R, D] holds N sequences back to back, `lengths[n]` <= L rows
+    for sequence n; query [N*M, Q] with rows n*M .. n*M+M-1 querying
+    sequence n -> [N*M, D]. A record's attention logit is `att.score` of
+    ReLU(`att.hidden` of [record, query]): records and queries are projected
+    once each, through their row blocks of `att.hidden.w` (the bias rides on
+    the query rows), and meet block by block in `autodiff.additive_scores`,
+    so no sequence is copied per query, the [R, M, d_model] hidden layer is
+    never held whole and no padding slot is embedded, projected or scored.
+    The scores are then placed in [N, M, L] logits, padding at -1e9 so its
+    softmax weight underflows to 0, and the records in an [N, L, D] grid,
+    padding at zero: the softmax and the pooling run on every sequence
+    padded to L, so each pooled row keeps the bits of the padded
+    computation. An empty sequence pools to zeros.
     """
-    n, seq_len, dim = seq_embeddings.shape
+    lengths = np.asarray(lengths)
+    seq_len = params.config.max_len
+    if (
+        records.ndim != 2
+        or lengths.ndim != 1
+        or not lengths.size
+        or not np.issubdtype(lengths.dtype, np.integer)
+        or lengths.min() < 0
+        or lengths.max() > seq_len
+        or lengths.sum() != records.shape[0]
+    ):
+        raise UsageError(
+            f"interest_aggregation needs [R, D] records in sequences of 0..{seq_len} rows, "
+            f"got records {records.shape} and lengths {lengths.tolist()}"
+        )
+    n = lengths.size
     if query.ndim != 2 or query.shape[0] % n:
         raise UsageError(f"interest_aggregation: {query.shape} queries do not split over {n} sequences")
-    # padding slots get an additive -1e9 so their softmax weight underflows to 0
-    logits = _attention_logits(params, seq_embeddings, query) + Tensor((1.0 - mask)[:, None, :] * _MASK_OFF)
-    has_any = (mask.sum(axis=1) > 0).astype(np.float64)[:, None, None]
-    pooled = ad.bmm(ad.softmax(logits), seq_embeddings) * Tensor(has_any)
-    return ad.reshape(pooled, (query.shape[0], dim))
+    m, (r, dim) = query.shape[0] // n, records.shape
+    segment = np.repeat(np.arange(n), lengths)
+    # each record's row of the padded [N*L, ...] grids: its sequence's block, then its step;
+    # with no padding the packed rows are the grids
+    place = None if r == n * seq_len else np.flatnonzero(np.arange(seq_len) < lengths[:, None])
+    weights = ad.softmax(_attention_logits(params, records, segment, place, query, n))
+    grid = records if place is None else ad.scatter_rows(records, place, n * seq_len)
+    return ad.reshape(ad.bmm(weights, ad.reshape(grid, (n, seq_len, dim))), (n * m, dim))
 
 
 def position_interaction(
@@ -516,7 +557,7 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch, context: Tenso
     """
     cfg = params.config
     spec = variant_spec(params.variant)
-    b, j, k, seq_len = prep.size, prep.num_items, cfg.max_position, cfg.max_len
+    b, j, k = prep.size, prep.num_items, cfg.max_position
     m = j if spec.history == PER_CANDIDATE else 1  # queries per position sequence
     # rows run in (request, position, query) order
     ctx_groups = ad.repeat_rows(context, k * m)
@@ -527,8 +568,8 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch, context: Tenso
         query = ad.concat([ctx_groups, item_groups], axis=1)
 
     # sequences 1..K of each request: its per-position histories
-    seq_emb = ad.reshape(behavior_embedding(params, prep.seq_ids[:, 1:]), (b * k, seq_len, cfg.behavior_dim))
-    pooled = interest_aggregation(params, seq_emb, prep.seq_mask[:, 1:].reshape(b * k, seq_len), query)
+    records, lengths = _history(prep, per_position=True)
+    pooled = interest_aggregation(params, behavior_embedding(params, records), lengths, query)
     pos_ids = np.repeat(np.tile(np.arange(1, k + 1), b), m)
     v = position_interaction(params, pos_ids, ctx_groups, pooled, item_query=item_groups)
     # (request, query, position) order: each query's K positions side by side
@@ -572,8 +613,9 @@ def score_displayed(
     position_rep = None
     if spec.history == FLAT_HISTORY:
         # DIN: the position-blind history, sequence 0, pooled against each candidate's item embedding
-        flat = ad.reshape(behavior_embedding(params, prep.seq_ids[:, 0]), (b, cfg.max_len, cfg.behavior_dim))
-        item_rep = ad.concat([item_rep, interest_aggregation(params, flat, prep.seq_mask[:, 0], items)], axis=1)
+        records, lengths = _history(prep, per_position=False)
+        pooled = interest_aggregation(params, behavior_embedding(params, records), lengths, items)
+        item_rep = ad.concat([item_rep, pooled], axis=1)
     else:
         # the block of K position rows each candidate reads: its own, or its request's
         owner = np.arange(b * j) if spec.history == PER_CANDIDATE else np.repeat(np.arange(b), j)

@@ -252,7 +252,9 @@ def _op_cases():
     c_gather = rng.normal(size=(6, 3))
     c_perm = rng.normal(size=(4, 2, 5, 3))
     c_cat = rng.normal(size=(2, 9))
-    c_att = np.random.default_rng(8).normal(size=(3, 2, 5))  # its own stream: the other cases keep their draws
+    # their own streams: the other cases keep their draws
+    c_att = np.random.default_rng(8).normal(size=(7, 2))
+    c_scatter = np.random.default_rng(9).normal(size=(6, 3))
     return [
         ("matmul", {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))},
          lambda t: total_sum(ad.matmul(t["a"], t["b"]))),
@@ -285,10 +287,27 @@ def _op_cases():
          lambda t: total_sum(ad.transpose(t["x"], (2, 0, 3, 1)) * c_perm)),
         ("bce", {"logits": rng.normal(size=8)},
          lambda t: ad.binary_cross_entropy(ad.sigmoid(t["logits"]), labels)),
+        # 7 records in sequences of 3, 0, 4 rows; the second sequence's queries get no gradient
         ("additive_scores",
-         {"r": rng.normal(size=(3, 5, 4)), "q": rng.normal(size=(3, 2, 4)), "w": rng.normal(size=(4, 1))},
-         lambda t: total_sum(ad.additive_scores(t["r"], t["q"], t["w"]) * c_att)),
+         {"r": rng.normal(size=(7, 4)), "q": rng.normal(size=(3, 2, 4)), "w": rng.normal(size=(4, 1))},
+         lambda t: total_sum(ad.additive_scores(t["r"], t["q"], np.repeat([0, 2], [3, 4]), t["w"]) * c_att)),
+        ("scatter_rows", {"x": rng.normal(size=(4, 3))},
+         lambda t: total_sum(ad.scatter_rows(t["x"], np.array([5, 0, 2, 3]), 6, fill=-2.0) * c_scatter)),
     ]
+
+
+class TestScatterRows:
+    def test_rows_land_on_their_index_and_the_rest_keep_the_fill(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        out = ad.scatter_rows(x, np.array([4, 0, 2]), 5, fill=-7.0).data
+        np.testing.assert_array_equal(out, [[2, 3], [-7, -7], [4, 5], [-7, -7], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "rows", [[0, 1, 5], [0, -1, 2], [0, 1], [0.0, 1.0, 2.0]], ids=["past_end", "negative", "too_few", "float"]
+    )
+    def test_bad_rows_rejected(self, rows):
+        with pytest.raises(UsageError, match="scatter_rows"):
+            ad.scatter_rows(Tensor(np.ones((3, 2))), np.array(rows), 5)
 
 
 class TestGradientCheck:
@@ -550,58 +569,71 @@ class TestRowStableKernels:
         assert out.tobytes() == np.full((30, 1, 56), 30.0).tobytes()
 
 
-def _unfused_scores(r: Tensor, q: Tensor, w: Tensor) -> Tensor:
-    """The composition `additive_scores` fuses: a broadcast sum, its ReLU, one matmul."""
-    n, seq_len, h = r.shape
-    m = q.shape[1]
-    hidden = ad.relu(ad.reshape(r, (n, 1, seq_len, h)) + ad.reshape(q, (n, m, 1, h)))
-    return ad.reshape(ad.matmul(ad.reshape(hidden, (n * m * seq_len, h)), w), (n, m, seq_len))
+def _unfused_scores(r: Tensor, q: Tensor, segment: np.ndarray, w: Tensor) -> Tensor:
+    """The composition `additive_scores` fuses: a gather of each record's queries, a sum, its ReLU, one matmul."""
+    n_rec, h = r.shape
+    n, m, _ = q.shape
+    own = ad.reshape(ad.gather_rows(ad.reshape(q, (n, m * h)), segment), (n_rec, m, h))
+    hidden = ad.relu(ad.reshape(r, (n_rec, 1, h)) + own)
+    return ad.reshape(ad.matmul(ad.reshape(hidden, (n_rec * m, h)), w), (n_rec, m))
 
 
-def _scores_and_grads(op, r, q, w, c):
+def _scores_and_grads(op, r, q, segment, w, c):
     leaves = [Tensor(x, requires_grad=True) for x in (r, q, w)]
-    out = op(*leaves)
+    out = op(leaves[0], leaves[1], segment, leaves[2])
     ad.backward(total_sum(out * c))
     return [out.data] + [t.grad for t in leaves]
 
 
 class TestAdditiveScores:
-    """The fused op is the unfused composition, byte for byte, in blocks of whole sequences."""
+    """The fused op is the unfused composition, byte for byte, in blocks of whole records."""
 
     @_KERNEL_SETTINGS
     @given(
-        m=st.one_of(st.just(1), st.integers(2, 12)), seq_len=st.integers(1, 40), h=st.integers(1, 40),
-        blocks=st.integers(1, 3), extra=st.floats(0, 1), seed=st.integers(0, 2**32 - 1),
+        m=st.one_of(st.just(1), st.integers(2, 12)), h=st.integers(1, 40), n=st.integers(1, 400),
+        blocks=st.integers(1, 3), extra=st.floats(0, 1), small_blocks=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
-    # a sequence larger than a block: every block holds one sequence
-    @example(m=8, seq_len=300, h=64, blocks=3, extra=0.0, seed=0)
-    # DPIN's desk shape: one query per sequence, 136 sequences per block
-    @example(m=1, seq_len=30, h=32, blocks=3, extra=0.5, seed=1)
-    def test_forward_and_gradients_equal_the_composition(self, m, seq_len, h, blocks, extra, seed):
-        per_block = max(1, ad._SCORE_BLOCK // (m * seq_len * h))
-        n = per_block * (blocks - 1) + max(1, int(extra * per_block))  # spans `blocks` blocks
+    # DPIN's desk shape: one query per sequence, 4,096 records per block, short sequences (one scatter-add in the VJP)
+    @example(m=1, h=32, n=400, blocks=2, extra=0.1, small_blocks=False, seed=1)
+    # DIN's: 10 queries per sequence, few long sequences (one numpy sum per sequence in the VJP)
+    @example(m=10, h=32, n=3, blocks=1, extra=0.02, small_blocks=False, seed=2)
+    # one column in long sequences: a numpy sum over them would run pairwise, the scatter-add runs in order
+    @example(m=1, h=1, n=2, blocks=1, extra=0.01, small_blocks=False, seed=4)
+    # a record larger than a block: every block holds one record
+    @example(m=12, h=40, n=5, blocks=3, extra=0.0, small_blocks=True, seed=3)
+    def test_forward_and_gradients_equal_the_composition(self, m, h, n, blocks, extra, small_blocks, seed):
+        score_block = 64 if small_blocks else ad._SCORE_BLOCK
+        per_block = max(1, score_block // (m * h))
+        n_rec = per_block * (blocks - 1) + max(1, int(extra * per_block))  # spans `blocks` blocks
         rng = np.random.default_rng(seed)
-        r, q = rng.normal(size=(n, seq_len, h)), rng.normal(size=(n, m, h))
-        w, c = rng.normal(size=(h, 1)), rng.normal(size=(n, m, seq_len))
-        fused = _scores_and_grads(ad.additive_scores, r, q, w, c)
-        unfused = _scores_and_grads(_unfused_scores, r, q, w, c)
+        # ragged sequences, some empty: n_rec records cut at n - 1 sorted points
+        segment = np.searchsorted(np.sort(rng.integers(0, n_rec + 1, size=n - 1)), np.arange(n_rec), side="right")
+        r, q = rng.normal(size=(n_rec, h)), rng.normal(size=(n, m, h))
+        w, c = rng.normal(size=(h, 1)), rng.normal(size=(n_rec, m))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ad, "_SCORE_BLOCK", score_block)
+            fused = _scores_and_grads(ad.additive_scores, r, q, segment, w, c)
+            # a record scored inside the batch has the bits it has alone
+            i = int(rng.integers(n_rec))
+            alone = ad.additive_scores(Tensor(r[i : i + 1]), Tensor(q[segment[i] : segment[i] + 1]), [0], Tensor(w)).data
+        unfused = _scores_and_grads(_unfused_scores, r, q, segment, w, c)
         for name, got, want in zip(("scores", "records", "queries", "w"), fused, unfused):
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-        # a sequence scored inside the batch has the bits it has alone
-        i = int(rng.integers(n))
-        alone = ad.additive_scores(Tensor(r[i : i + 1]), Tensor(q[i : i + 1]), Tensor(w)).data
         assert alone.tobytes() == fused[0][i : i + 1].tobytes()
 
     @pytest.mark.parametrize(
-        "r,q,w",
+        "r,q,segment,w",
         [
-            ((2, 3, 4), (3, 5, 4), (4, 1)),  # sequence counts differ
-            ((2, 3, 4), (2, 5, 3), (4, 1)),  # hidden widths differ
-            ((2, 3, 4), (2, 5, 4), (4, 2)),  # more than one score per row
-            ((6, 4), (2, 5, 4), (4, 1)),  # records without a sequence axis
+            ((3, 4), (3, 5, 3), [0, 1, 2], (4, 1)),  # hidden widths differ
+            ((3, 4), (3, 5, 4), [0, 1, 2], (4, 2)),  # more than one score per row
+            ((2, 3, 4), (2, 5, 4), [0, 1], (4, 1)),  # records with a sequence axis
+            ((3, 4), (2, 5, 4), [0, 1], (4, 1)),  # a record without a segment
+            ((3, 4), (2, 5, 4), [0, 1, 2], (4, 1)),  # a segment past the sequences
+            ((3, 4), (2, 5, 4), [-1, 0, 1], (4, 1)),  # a negative segment
+            ((3, 4), (2, 5, 4), [1, 0, 1], (4, 1)),  # records not grouped by sequence
         ],
     )
-    def test_incompatible_shapes_rejected(self, r, q, w):
+    def test_incompatible_shapes_rejected(self, r, q, segment, w):
         with pytest.raises(UsageError, match="additive_scores"):
-            ad.additive_scores(Tensor(np.ones(r)), Tensor(np.ones(q)), Tensor(np.ones(w)))
+            ad.additive_scores(Tensor(np.ones(r)), Tensor(np.ones(q)), np.array(segment), Tensor(np.ones(w)))

@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posrank.autodiff as ad
 from posrank.autodiff import Tensor
@@ -40,7 +42,7 @@ from posrank.serving import synthetic_request
 from posrank.train import score_requests
 
 from conftest import desk_config, labeled_request, tiny_config
-from verifiers import gradient_check
+from verifiers import dense_interest_aggregation, gradient_check, total_sum
 
 
 # the parameter groups beyond `embed` and `base` that each VARIANT_TABLE entry implies
@@ -179,96 +181,147 @@ class TestBehaviorEmbedding:
         assert out.shape[1] == 7 * d
 
 
+def _packed(emb: np.ndarray, lengths) -> Tensor:
+    """The first `lengths[n]` rows of each padded sequence n of `emb` [N, L, D], back to back."""
+    return Tensor(np.concatenate([seq[:n] for seq, n in zip(emb, lengths)]))
+
+
 class TestInterestAggregation:
     def _setup(self):
         cfg = tiny_config()
         params = build_model(cfg, "DPIN", seed=2)
         rng = np.random.default_rng(1)
-        emb = Tensor(rng.normal(size=(2, cfg.max_len, cfg.behavior_dim)))
+        emb = rng.normal(size=(2, cfg.max_len, cfg.behavior_dim))
         query = Tensor(rng.normal(size=(2, cfg.context_dim)))
         return cfg, params, emb, query
 
     def test_single_record_passes_through(self):
         cfg, params, emb, query = self._setup()
-        mask = np.zeros((2, cfg.max_len))
-        mask[:, 0] = 1.0
-        out = interest_aggregation(params, emb, mask, query)
-        np.testing.assert_array_equal(out.data[0], emb.data[0, 0])
-        np.testing.assert_array_equal(out.data[1], emb.data[1, 0])
+        out = interest_aggregation(params, _packed(emb, [1, 1]), np.array([1, 1]), query)
+        np.testing.assert_array_equal(out.data[0], emb[0, 0])
+        np.testing.assert_array_equal(out.data[1], emb[1, 0])
 
     def test_equal_logits_average(self):
         cfg, params, emb, query = self._setup()
         params.tensors["att.hidden.w"].data[:] = 0.0
         params.tensors["att.score.w"].data[:] = 0.0
-        mask = np.zeros((2, cfg.max_len))
-        mask[:, :3] = 1.0
-        out = interest_aggregation(params, emb, mask, query)
-        np.testing.assert_allclose(out.data, emb.data[:, :3].mean(axis=1), atol=1e-15)
+        out = interest_aggregation(params, _packed(emb, [3, 3]), np.array([3, 3]), query)
+        np.testing.assert_allclose(out.data, emb[:, :3].mean(axis=1), atol=1e-15)
 
-    def test_all_padding_pools_to_zero(self):
+    def test_empty_sequences_pool_to_zero(self):
         cfg, params, emb, query = self._setup()
-        mask = np.zeros((2, cfg.max_len))
-        out = interest_aggregation(params, emb, mask, query)
-        np.testing.assert_array_equal(out.data, np.zeros((2, cfg.behavior_dim)))
+        out = interest_aggregation(params, _packed(emb, [0, 0]), np.array([0, 0]), query)
+        assert out.data.tobytes() == np.zeros((2, cfg.behavior_dim)).tobytes()
 
     def _many_queries(self, n=3, m=4):
         cfg = tiny_config()
         params = build_model(cfg, "DPIN+ItemAction", seed=2)
         rng = np.random.default_rng(4)
         params.tensors["att.hidden.b"].data[:] = rng.normal(size=cfg.d_model)
-        emb = Tensor(rng.normal(size=(n, cfg.max_len, cfg.behavior_dim)))
+        emb = rng.normal(size=(n, cfg.max_len, cfg.behavior_dim))
         query = Tensor(rng.normal(size=(n * m, cfg.context_dim + cfg.item_dim)))
-        mask = np.zeros((n, cfg.max_len))
-        for i in range(n - 1):  # the last sequence is all padding
-            mask[i, : i + 2] = 1.0
-        return params, emb, mask, query
+        lengths = np.minimum(np.arange(n) + 2, cfg.max_len)
+        lengths[-1] = 0  # the last sequence is empty
+        return params, emb, lengths, query
 
     def test_many_queries_equal_single_query_calls_bitwise(self):
-        params, emb, mask, query = self._many_queries()
-        m = query.shape[0] // emb.shape[0]
-        out = interest_aggregation(params, emb, mask, query)
+        params, emb, lengths, query = self._many_queries()
+        m = query.shape[0] // len(lengths)
+        records = _packed(emb, lengths)
+        out = interest_aggregation(params, records, lengths, query)
         for q in range(m):
-            single = interest_aggregation(params, emb, mask, Tensor(query.data[q::m]))
+            single = interest_aggregation(params, records, lengths, Tensor(query.data[q::m]))
             assert out.data[q::m].tobytes() == single.data.tobytes()
 
     def test_matches_the_concatenated_definition(self):
-        params, emb, mask, query = self._many_queries()
-        m = query.shape[0] // emb.shape[0]
+        params, emb, lengths, query = self._many_queries()
+        m = query.shape[0] // len(lengths)
         names = ("att.hidden.w", "att.hidden.b", "att.score.w", "att.score.b")
         wa, ba, wb, bb = (params.tensors[n].data for n in names)
         expected = np.zeros((query.shape[0], emb.shape[2]))
         for r, q in enumerate(query.data):
-            seq, real = emb.data[r // m], mask[r // m] > 0
-            if not real.any():
+            seq = emb[r // m, : lengths[r // m]]
+            if not len(seq):
                 continue
             att_in = np.concatenate([seq, np.tile(q, (len(seq), 1))], axis=1)
             logits = (np.maximum(att_in @ wa + ba, 0.0) @ wb + bb)[:, 0]
-            weights = np.where(real, np.exp(logits - logits[real].max()), 0.0)
+            weights = np.exp(logits - logits.max())
             expected[r] = weights / weights.sum() @ seq
-        out = interest_aggregation(params, emb, mask, query)
+        out = interest_aggregation(params, _packed(emb, lengths), lengths, query)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+        m=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_equals_the_dense_definition(self, lengths, m, seed):
+        # forward bytes as on zero-padded sequences with masked logits; gradients to roundoff.
+        # L = 12: from 8 steps on, numpy sums a softmax row pairwise, so its memory order counts
+        cfg = tiny_config(max_len=12)
+        params = build_model(cfg, "DPIN+ItemAction", seed=3)
+        rng = np.random.default_rng(seed)
+        params.tensors["att.hidden.b"].data[:] = rng.normal(size=cfg.d_model)
+        lengths = np.array(lengths)
+        n = len(lengths)
+        # the padding slots hold whatever: the dense path masks them
+        emb = rng.normal(size=(n, cfg.max_len, cfg.behavior_dim))
+        mask = (np.arange(cfg.max_len) < lengths[:, None]).astype(np.float64)
+        query = rng.normal(size=(n * m, cfg.context_dim + cfg.item_dim))
+        c = rng.normal(size=(n * m, cfg.behavior_dim))
+        att = [params.tensors[k] for k in ("att.hidden.w", "att.hidden.b", "att.score.w", "att.score.b")]
+
+        def run(pool, records):
+            q = Tensor(query, requires_grad=True)
+            for t in [records] + att:
+                t.grad = None
+            out = pool(records, q)
+            ad.backward(total_sum(out * c))
+            return out.data, [q.grad] + [t.grad for t in att], records.grad
+
+        packed, packed_grads, g_records = run(
+            lambda r, q: interest_aggregation(params, r, lengths, q), Tensor(_packed(emb, lengths).data, requires_grad=True)
+        )
+        dense, dense_grads, g_grid = run(
+            lambda r, q: dense_interest_aggregation(params, r, mask, q), Tensor(emb, requires_grad=True)
+        )
+        # + 0.0 turns the -0.0 a 0/1 factor may leave on an empty sequence into the packed path's 0.0
+        assert packed.tobytes() == (dense + 0.0).tobytes()
+        for got, want in zip(packed_grads, dense_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(g_records, g_grid[mask > 0], rtol=1e-10, atol=1e-13)
+
     def test_query_rows_must_split_over_sequences(self):
-        params, emb, mask, query = self._many_queries()
+        params, emb, lengths, query = self._many_queries()
         with pytest.raises(UsageError, match="queries"):
-            interest_aggregation(params, emb, mask, Tensor(query.data[:-1]))
+            interest_aggregation(params, _packed(emb, lengths), lengths, Tensor(query.data[:-1]))
+
+    @pytest.mark.parametrize(
+        "lengths", [[2, 3, 1], [2, 2], [5, 0, 0], [3, 3, -1]], ids=["sum_over", "sum_under", "longer_than_L", "negative"]
+    )
+    def test_lengths_must_cut_the_records_into_sequences(self, lengths):
+        # 5 records, L = 4
+        params, emb, _, query = self._many_queries()
+        records = _packed(emb, [2, 3, 0])
+        with pytest.raises(UsageError, match="interest_aggregation"):
+            interest_aggregation(params, records, np.array(lengths), Tensor(query.data[: 4 * len(lengths)]))
 
     def test_inference_never_holds_the_hidden_layer_whole(self):
-        # an evaluation batch of 12 DPIN+ItemAction requests at J = 20: 120
-        # position sequences, each queried by its request's 20 candidates
+        # an evaluation batch of 12 DPIN+ItemAction requests at J = 20 with full
+        # histories: 120 position sequences, each queried by its request's 20 candidates
         cfg = desk_config()
         params = build_model(cfg, "DPIN+ItemAction", seed=0)
         n, m = 12 * cfg.max_position, 20
         rng = np.random.default_rng(5)
-        emb = Tensor(rng.normal(size=(n, cfg.max_len, cfg.behavior_dim)))
+        records = Tensor(rng.normal(size=(n * cfg.max_len, cfg.behavior_dim)))
         query = Tensor(rng.normal(size=(n * m, cfg.context_dim + cfg.item_dim)))
-        mask = np.ones((n, cfg.max_len))
         hidden_bytes = n * m * cfg.max_len * cfg.d_model * 8
         assert hidden_bytes >= 8 * 2**20
         with ad.no_grad():
             tracemalloc.start()
             try:
-                interest_aggregation(params, emb, mask, query)
+                interest_aggregation(params, records, np.full(n, cfg.max_len), query)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -419,6 +472,12 @@ class TestCombination:
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
 
+def _sequence(prep: PreparedBatch, b: int, k: int) -> np.ndarray:
+    """The packed rows of request b's sequence k."""
+    start = int(prep.lengths[:b].sum() + prep.lengths[b, :k].sum())
+    return prep.records[start : start + int(prep.lengths[b, k])]
+
+
 class TestPrepareBatch:
     def test_longer_and_wider_histories_are_rejected(self):
         # histories are cut once, by build_position_behavior_sequences at the model's K and L
@@ -440,27 +499,28 @@ class TestPrepareBatch:
         prep = prepare_batch([req], cfg)
         for pos in range(1, k + 1):
             recent = [pos - 1 + wider * n for n in (5, 4, 3, 2)]  # the last four clicks at pos
-            assert prep.seq_ids[0, pos, :, 0].tolist() == recent[:seq_len]
+            assert _sequence(prep, 0, pos)[:, 0].tolist() == recent[:seq_len]
         # sequence 0 keeps the most recent clicks at positions 1..K, whatever the position
-        assert prep.seq_ids[0, 0, :, 0].tolist() == [i for i in range(6 * wider - 1, -1, -1) if i % wider < k][:seq_len]
-        assert prep.seq_mask.all()
-        np.testing.assert_array_equal(prep.seq_ids[0].reshape(-1, 7), exact.records)
+        assert _sequence(prep, 0, 0)[:, 0].tolist() == [i for i in range(6 * wider - 1, -1, -1) if i % wider < k][:seq_len]
+        assert (prep.lengths == seq_len).all()
+        np.testing.assert_array_equal(prep.records, exact.records)
 
-    def test_masks_follow_the_sequence_lengths(self):
+    def test_packed_records_follow_the_sequence_lengths(self):
         cfg = tiny_config()
         history = np.array([(100, 2, 5, 1, 1, 1, 1, 1), (200, 2, 6, 1, 1, 1, 1, 1)], dtype=np.int64)
         req = synthetic_request(cfg, 2, seed=0)
         req.sequences = build_position_behavior_sequences(history, 10_000, cfg.max_position, cfg.max_len)
         prep = prepare_batch([req, synthetic_request(cfg, 2, seed=1)], cfg)
-        assert prep.seq_mask[0].sum(axis=1).tolist() == [2, 0, 2, 0]
-        assert prep.seq_ids[0, 2, :2, 0].tolist() == [6, 5] and not prep.seq_ids[0, 2, 2:].any()
-        assert prep.seq_ids[0, 0, :2, 0].tolist() == [6, 5] and not prep.seq_ids[0, 0, 2:].any()
-        assert prep.seq_mask[0, 0].tolist() == [1, 1, 0, 0]
-        assert prep.seq_mask[1].all()
+        assert prep.lengths[0].tolist() == [2, 0, 2, 0]
+        assert prep.lengths[1].tolist() == [cfg.max_len] * (cfg.max_position + 1)
+        # no padding: two sequences of two records, then the full second request
+        assert len(prep.records) == 4 + cfg.max_len * (cfg.max_position + 1)
+        assert _sequence(prep, 0, 2)[:, 0].tolist() == [6, 5]
+        assert _sequence(prep, 0, 0)[:, 0].tolist() == [6, 5]
 
     def test_a_batch_stacks_each_request_as_prepared_alone(self):
-        # unequal and empty histories: a request's slice of the batch is, bit for bit,
-        # the request prepared alone, and holds its sequences then zero padding
+        # unequal and empty histories: the batch's records are the requests' records
+        # prepared alone, back to back, and each request's lengths are its own
         cfg = tiny_config()
         rng = np.random.default_rng(5)
         requests = []
@@ -474,16 +534,14 @@ class TestPrepareBatch:
             req.sequences = build_position_behavior_sequences(history, 10_000, cfg.max_position, cfg.max_len)
             requests.append(req)
         batch = prepare_batch(requests, cfg)
-        assert batch.seq_ids.shape == (5, cfg.max_position + 1, cfg.max_len, len(HISTORY_COLUMNS))
-        for b, req in enumerate(requests):
-            alone = prepare_batch([req], cfg)
-            assert batch.seq_ids[b].tobytes() == alone.seq_ids[0].tobytes()
-            assert batch.seq_mask[b].tobytes() == alone.seq_mask[0].tobytes()
+        assert batch.lengths.shape == (5, cfg.max_position + 1)
+        alone = [prepare_batch([req], cfg) for req in requests]
+        assert batch.records.tobytes() == np.concatenate([a.records for a in alone]).tobytes()
+        for b, (req, one) in enumerate(zip(requests, alone)):
+            assert batch.lengths[b].tobytes() == one.lengths[0].tobytes()
             for k in range(cfg.max_position + 1):
-                n = len(req.sequences.at(k))
-                np.testing.assert_array_equal(alone.seq_ids[0, k, :n], req.sequences.at(k))
-                assert not alone.seq_ids[0, k, n:].any()
-                assert alone.seq_mask[0, k].tolist() == [1.0] * n + [0.0] * (cfg.max_len - n)
+                np.testing.assert_array_equal(_sequence(one, 0, k), req.sequences.at(k))
+                np.testing.assert_array_equal(_sequence(batch, b, k), req.sequences.at(k))
 
     def test_label_count_must_match_the_candidates(self):
         cfg = tiny_config()
@@ -501,13 +559,20 @@ class TestPrepareBatch:
             with pytest.raises(UsageError, match="positions"):
                 prepare_batch([req], cfg)
 
-    @pytest.mark.parametrize("change", [-1, 1], ids=["record_too_few", "record_too_many"])
+    @pytest.mark.parametrize("change", ["too_few", "too_many", "negative"], ids=lambda c: f"record_{c}")
     def test_records_must_fill_the_sequence_lengths(self, change):
         cfg = tiny_config()
         req = labeled_request(cfg, seed=17)
         req.request_id = "r17"
         records = req.sequences.records
-        req.sequences.records = records[:-1] if change < 0 else np.concatenate([records, records[:1]])
+        if change == "too_few":
+            req.sequences.records = records[:-1]
+        elif change == "too_many":
+            req.sequences.records = np.concatenate([records, records[:1]])
+        else:
+            # K = 3, L = 4: as many records as the lengths sum to, one length negative
+            req.sequences.lengths = np.array([4, 4, -1, 4])
+            req.sequences.records = records[:11]
         with pytest.raises(UsageError, match="'r17'"):
             prepare_batch([labeled_request(cfg, seed=18), req], cfg)
 

@@ -2,8 +2,10 @@
 
 `auc_oracle` counts AUC pairs explicitly; `gradient_check` compares the
 tape's gradients with central finite differences; `exhaustive_allocate`
-enumerates every slot assignment of a small instance. `total_sum` reduces a
-tensor to the scalar loss that `backward` and `gradient_check` need.
+enumerates every slot assignment of a small instance;
+`dense_interest_aggregation` is the attention on zero-padded sequences that
+`model.interest_aggregation` computes on packed records. `total_sum` reduces
+a tensor to the scalar loss that `backward` and `gradient_check` need.
 """
 
 import itertools
@@ -11,8 +13,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from posrank.autodiff import Tensor, backward, matmul, reshape
+from posrank.autodiff import Tensor, backward, bmm, gather_rows, matmul, relu, reshape, softmax
 from posrank.errors import NumericError, UndefinedMetricError, UsageError
+from posrank.model import ParameterSet
 from posrank.serving import Allocation, _check_instance
 
 
@@ -106,3 +109,25 @@ def exhaustive_allocate(matrix: np.ndarray, bids: np.ndarray) -> Allocation:
     assert best_perm is not None
     slots = [(pos + 1, cand) for pos, cand in enumerate(best_perm)]
     return Allocation(slots=slots, total_value=float(best_value))
+
+
+def dense_interest_aggregation(params: ParameterSet, seq_embeddings: Tensor, mask: np.ndarray, query: Tensor) -> Tensor:
+    """Attention pooling over padded sequences, every slot scored: the definitional path.
+
+    seq_embeddings [N, L, D] with mask [N, L] (1 = real record), query
+    [N*M, Q] with rows n*M .. n*M+M-1 querying sequence n -> [N*M, D]. Every
+    slot, padding too, is projected and scored through the unfused hidden
+    layer relu(records + queries) @ `att.score.w`; padding logits then get
+    -1e9, and a 0/1 factor zeroes the pooled rows of all-padding sequences.
+    """
+    n, seq_len, dim = seq_embeddings.shape
+    m = query.shape[0] // n
+    wa = params.tensors["att.hidden.w"]
+    records = matmul(reshape(seq_embeddings, (n * seq_len, dim)), gather_rows(wa, np.arange(dim)))
+    queries = matmul(query, gather_rows(wa, np.arange(dim, wa.shape[0]))) + params.tensors["att.hidden.b"]
+    h = records.shape[1]
+    hidden = relu(reshape(records, (n, 1, seq_len, h)) + reshape(queries, (n, m, 1, h)))
+    scores = matmul(reshape(hidden, (n * m * seq_len, h)), params.tensors["att.score.w"]) + params.tensors["att.score.b"]
+    logits = reshape(scores, (n, m, seq_len)) + Tensor((1.0 - mask)[:, None, :] * -1e9)
+    has_any = (mask.sum(axis=1) > 0).astype(np.float64)[:, None, None]
+    return reshape(bmm(softmax(logits), seq_embeddings) * Tensor(has_any), (n * m, dim))
