@@ -49,7 +49,7 @@ at 2^11 (medians over 20 interleaved rounds, one BLAS thread); 2^17 is the
 middle of the fast sizes and keeps the buffer at 1 MiB, which the
 inference memory bound of the attention needs. The VJP rebuilds the hidden
 layer whole once; it sums each sequence's query gradients in record order
-(``_sequence_sums``).
+with one ``_scatter_add_rows``.
 
 Gradients are built lazily: each op records its parents and a vector-
 Jacobian closure; ``backward`` walks the tape in reverse topological
@@ -93,8 +93,6 @@ def no_grad():
 _BLOCK = 8
 # floats of hidden layer per block in additive_scores (see the module docstring)
 _SCORE_BLOCK = 1 << 17
-# mean elements per sequence from which `_sequence_sums` sums each sequence in its own numpy call
-_SUM_LOOP_MIN = 512
 
 
 def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -329,28 +327,6 @@ def _scatter_add_rows(rows: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarra
     return out.reshape(n_rows, dim)
 
 
-def _sequence_sums(segment: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Sum the rows of `g` ([R, dim]) of each sequence into [n, dim]; `segment` is non-decreasing.
-
-    Every sum runs in row order from zero, as `_scatter_add_rows` adds it,
-    so both ways below give the same bits. Long sequences take one numpy
-    sum over their adjacent rows each, whose cost is per sequence; short
-    ones take one `_scatter_add_rows`, whose cost is per element (DIN's 87
-    rows of 320 floats in 3 sequences: 21 µs against 97 µs; DPIN's 69 rows
-    of 32 floats in 30 sequences: 43 µs against 11 µs). A one-column sum
-    would run pairwise, so one column always takes `_scatter_add_rows`.
-    """
-    if g.size < _SUM_LOOP_MIN * n or g.shape[1] < 2:
-        return _scatter_add_rows(segment, g, n)
-    out = np.zeros((n, g.shape[1]))
-    bounds = np.searchsorted(segment, np.arange(n + 1)).tolist()  # sequence i holds rows bounds[i]:bounds[i+1]
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if hi > lo:
-            # rows one after another (a 2-D sum over axis 0), then onto zero: a -0.0 total reads +0.0
-            out[i] += g[lo:hi].sum(axis=0)
-    return out
-
-
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows of a matrix by integer index (rows may repeat)."""
     a = _coerce(a)
@@ -486,7 +462,7 @@ def additive_scores(records: Tensor, queries: Tensor, segment, w: Tensor) -> Ten
         g_hid *= hid > 0.0
         return (
             _unbroadcast(g_hid, (r_count, 1, h)).reshape(records.shape),
-            _sequence_sums(segment, g_hid.reshape(r_count, per_record), n).reshape(queries.shape),
+            _scatter_add_rows(segment, g_hid.reshape(r_count, per_record), n).reshape(queries.shape),
             hid.reshape(-1, h).swapaxes(-1, -2) @ g.reshape(-1, 1),
         )
 

@@ -593,11 +593,11 @@ class TestAdditiveScores:
         m=st.one_of(st.just(1), st.integers(2, 12)), h=st.integers(1, 40), n=st.integers(1, 400),
         blocks=st.integers(1, 3), extra=st.floats(0, 1), small_blocks=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
-    # DPIN's desk shape: one query per sequence, 4,096 records per block, short sequences (one scatter-add in the VJP)
+    # DPIN's desk shape: one query per sequence, 4,096 records per block, short sequences
     @example(m=1, h=32, n=400, blocks=2, extra=0.1, small_blocks=False, seed=1)
-    # DIN's: 10 queries per sequence, few long sequences (one numpy sum per sequence in the VJP)
+    # DIN's: 10 queries per sequence, few long sequences
     @example(m=10, h=32, n=3, blocks=1, extra=0.02, small_blocks=False, seed=2)
-    # one column in long sequences: a numpy sum over them would run pairwise, the scatter-add runs in order
+    # one column in long sequences: the query gradients must sum in record order, not pairwise
     @example(m=1, h=1, n=2, blocks=1, extra=0.01, small_blocks=False, seed=4)
     # a record larger than a block: every block holds one record
     @example(m=12, h=40, n=5, blocks=3, extra=0.0, small_blocks=True, seed=3)
