@@ -567,43 +567,37 @@ ADAM_EPS = 1e-8
 
 
 class Optimizer:
-    """Bias-corrected adaptive-moment (Adam) updates over named tensors.
+    """Bias-corrected adaptive-moment (Adam) updates of a fixed set of named tensors.
 
-    One step works on a single flat vector: the gradients are concatenated
-    once, and the moments live in flat arrays laid out in the same order.
-    The layout is built on the first step, over every name of the parameter
-    mapping in mapping order, and never changes: every step needs a
-    gradient for each of those names and no other. The arithmetic runs in
-    place in two reused scratch buffers, so a step allocates no array of
-    the model's size.
+    The tensors are bound at construction, and each step updates every one
+    of them from its `grad`. A step works on a single flat vector: the
+    gradients are concatenated once, and the moments live in flat arrays
+    laid out in the binding's order. The arithmetic runs in place in two
+    reused scratch buffers, so a step allocates no array of the model's size.
     """
 
-    def __init__(self, lr: float = 1e-3):
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3):
+        self.params = dict(params)
         self.lr = lr
         self.step_count = 0
-        self._slices: dict[str, slice] | None = None  # name -> its part of the flat vectors
-        self._m = self._v = self._g = self._upd = self._tmp = np.zeros(0)
+        self._slices: dict[str, slice] = {}  # name -> its part of the flat vectors
+        start = 0
+        for name, p in self.params.items():
+            self._slices[name] = slice(start, start + p.data.size)
+            start += p.data.size
+        self._m, self._v = np.zeros(start), np.zeros(start)
+        self._g, self._upd, self._tmp = np.empty(start), np.empty(start), np.empty(start)
 
-    def step(self, params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray]) -> None:
+    def step(self) -> None:
         """Apply one update. Validates all gradients before touching any parameter."""
-        if self._slices is None:
-            self._slices, start = {}, 0
-            for name, p in params.items():
-                self._slices[name] = slice(start, start + p.data.size)
-                start += p.data.size
-            self._m, self._v = np.zeros(start), np.zeros(start)
-            self._g, self._upd, self._tmp = np.empty(start), np.empty(start), np.empty(start)
-        for name in grads:
-            if name not in self._slices:
-                raise UsageError(f"gradient for unknown parameter {name!r}")
-        for name in self._slices:
-            if grads.get(name) is None:
+        for name, p in self.params.items():
+            if p.grad is None:
                 raise UsageError(f"no gradient for parameter {name!r}")
-            if grads[name].shape != params[name].shape:
+            if p.grad.shape != p.shape:
                 raise UsageError(f"gradient shape mismatch for {name!r}")
         g = self._g
         if self._slices:
-            np.concatenate([grads[name].reshape(-1) for name in self._slices], out=g)
+            np.concatenate([p.grad.reshape(-1) for p in self.params.values()], out=g)
         if not np.isfinite(g).all():
             bad = next(n for n, sl in self._slices.items() if not np.isfinite(g[sl]).all())
             raise NumericError(f"non-finite gradient for parameter {bad!r}")
@@ -625,5 +619,5 @@ class Optimizer:
         tmp += ADAM_EPS
         upd /= tmp
         for name, sl in self._slices.items():
-            p = params[name].data
+            p = self.params[name].data
             p -= upd[sl].reshape(p.shape)

@@ -130,13 +130,16 @@ class ModelConfig:
     def validate(self) -> None:
         if self.heads < 1 or self.d_model % self.heads != 0:
             raise UsageError(f"d_model={self.d_model} must be divisible by heads={self.heads}")
-        if any(h < 1 for h in self.mlp_hidden) or self.combination_hidden < 1:
-            raise UsageError("hidden sizes must be positive")
+        if not self.mlp_hidden or min(*self.mlp_hidden, self.combination_hidden) < 1:
+            raise UsageError("mlp_hidden needs >= 1 layer, and every hidden size must be >= 1")
         if min(self.embed_dim, self.d_model, self.max_len, self.max_position) < 1 or self.blocks < 0:
             raise UsageError("embed_dim, d_model, max_len and max_position must be >= 1 and blocks >= 0")
         missing = [f for f in VOCAB_FIELDS if f not in self.vocab_sizes]
         if missing:
             raise UsageError(f"vocab_sizes missing fields {missing}")
+        empty = [f for f in VOCAB_FIELDS if self.vocab_sizes[f] < 1]
+        if empty:
+            raise UsageError(f"vocab_sizes of {empty} must be >= 1")
 
     @property
     def user_dim(self) -> int:
@@ -278,7 +281,7 @@ def build_model(config: ModelConfig, variant: str, seed: int) -> ParameterSet:
 
 @dataclass
 class PreparedBatch:
-    """Id arrays for a batch of requests with a uniform candidate count; histories packed."""
+    """Features of a batch of requests with one candidate count: id arrays, histories packed; no labels."""
 
     size: int  # number of requests B
     num_items: int  # candidates per request J
@@ -287,18 +290,16 @@ class PreparedBatch:
     item_ids: np.ndarray  # [B*J, 2], request-major
     records: np.ndarray  # [R, 7]: each request's K + 1 sequences back to back, request-major, no padding
     lengths: np.ndarray  # [B, K+1] rows per sequence, each <= L: sequence 0 for DIN, 1..K for DPIN
-    positions: np.ndarray | None = None  # [B*J] logged display positions
-    clicks: np.ndarray | None = None  # [B*J] float 0/1
 
 
 def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch:
-    """Stack requests into arrays; histories must come cut to K + 1 sequences of 0..L rows.
+    """Stack the features of requests with J >= 1 candidates each into arrays.
 
-    Nothing is cut or padded here: `build_position_behavior_sequences` cuts
-    a history at the model's K and L, and the batch's records are the
-    requests' records back to back. Logged labels are kept when every
-    request carries them; a request must then have one position in [1, K]
-    and one click per candidate.
+    Histories must come cut to K + 1 sequences of 0..L rows. Nothing is cut
+    or padded here: `build_position_behavior_sequences` cuts a history at
+    the model's K and L, and the batch's records are the requests' records
+    back to back. Served and logged requests are stacked alike; logged
+    positions and clicks are not read.
     """
     if not requests:
         raise UsageError("prepare_batch needs at least one request")
@@ -307,6 +308,8 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
     n_items = requests[0].num_candidates
     if any(r.num_candidates != n_items for r in requests):
         raise UsageError("all requests in a batch must have the same candidate count")
+    if n_items < 1:
+        raise UsageError("a request needs at least one candidate")
     if any(len(r.sequences.lengths) != k_max + 1 for r in requests):
         raise UsageError(f"request histories must hold {k_max + 1} sequences: the position-blind one and K={k_max}")
     lengths = np.array([r.sequences.lengths for r in requests], dtype=np.int64)  # [B, K+1]
@@ -320,23 +323,6 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
             )
 
     b = len(requests)
-
-    labelled = [bool(r.positions or r.clicks) for r in requests]
-    positions = clicks = None
-    if any(labelled):
-        if not all(labelled):
-            raise UsageError("a batch mixes requests with and without logged impressions")
-        for req in requests:
-            if len(req.positions) != n_items or len(req.clicks) != n_items:
-                raise UsageError(
-                    f"request {req.request_id!r} logs {len(req.positions)} positions and "
-                    f"{len(req.clicks)} clicks for {n_items} candidates"
-                )
-        positions = np.array([p for r in requests for p in r.positions], dtype=np.int64)
-        clicks = np.array([c for r in requests for c in r.clicks], dtype=np.float64)
-        if np.any((positions < 1) | (positions > k_max)):
-            raise UsageError(f"logged positions must lie in [1, {k_max}]")
-
     return PreparedBatch(
         size=b,
         num_items=n_items,
@@ -347,8 +333,6 @@ def prepare_batch(requests: list[Request], config: ModelConfig) -> PreparedBatch
         ),
         records=np.concatenate([r.sequences.records for r in requests]),
         lengths=lengths,
-        positions=positions,
-        clicks=clicks,
     )
 
 
@@ -580,22 +564,16 @@ def _dpin_position_rep(params: ParameterSet, prep: PreparedBatch, context: Tenso
     return ad.reshape(encoded, (b * m * k, cfg.d_model))
 
 
-def score_displayed(
-    params: ParameterSet, prep: PreparedBatch, positions: np.ndarray | None = None
-) -> Tensor:
+def score_displayed(params: ParameterSet, prep: PreparedBatch, positions: np.ndarray) -> Tensor:
     """Click probability of each candidate at its slot or slots.
 
-    `positions` is [B*J], one slot per candidate (the logged positions when
-    omitted), or [B*J, P], P slots per candidate. The result is [B*J*P],
-    candidate-major. The item side runs once per candidate and the position
-    side once per request (once per candidate for the per-candidate history
-    stage); the two are then paired row by row.
+    `positions` is required: [B*J], one slot per candidate (training passes
+    the logged positions), or [B*J, P], P slots per candidate. The result
+    is [B*J*P], candidate-major. The item side runs once per candidate and
+    the position side once per request (once per candidate for the
+    per-candidate history stage); the two are then paired row by row.
     """
     spec = variant_spec(params.variant)
-    if positions is None:
-        if prep.positions is None:
-            raise UsageError("score_displayed needs logged positions")
-        positions = prep.positions
     cfg = params.config
     b, j, k = prep.size, prep.num_items, cfg.max_position
     positions = np.asarray(positions)

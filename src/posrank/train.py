@@ -6,8 +6,11 @@ the requests in the order it is given (the epoch's permutation, or request
 order), fills one batch per candidate count J, and yields a batch when it
 holds its cap of whole requests, so the per-request interaction stage runs
 once for all of a request's impressions and a log that mixes J still fills
-its batches. It also rejects requests without logged impressions. Everything
-is seeded: the same data and config reproduce the checkpoint byte for byte.
+its batches. A batch's features come from `prepare_batch`; its logged
+positions and clicks are stacked next to them, here and nowhere else, and a
+request without a valid label for every candidate is rejected here.
+Everything is seeded: the same data and config reproduce the checkpoint
+byte for byte.
 """
 
 from __future__ import annotations
@@ -103,22 +106,33 @@ SCORE_BATCH_REQUESTS = 64  # requests per `score_displayed` call when scoring
 
 def _request_batches(
     requests: list[Request], order, cap, config: ModelConfig
-) -> Iterator[tuple[list[int], PreparedBatch]]:
+) -> Iterator[tuple[list[int], PreparedBatch, np.ndarray, np.ndarray]]:
     """Requests visited in `order`, grouped by candidate count J into batches of `cap(J)` requests.
 
-    One batch per J fills at a time. A batch is yielded, as its request
-    indices and its `prepare_batch` arrays, when it holds `cap(J)` requests;
-    the unfilled ones follow at the end, in the order they were started.
-    Every request must carry its logged positions and clicks.
+    One batch per J fills at a time. A batch is yielded when it holds
+    `cap(J)` requests, as its request indices, its `prepare_batch` features,
+    and its logged positions [B*J] and clicks [B*J]; the unfilled ones
+    follow at the end, in the order they were started. Every request must
+    log J positions in [1, K] and J clicks of 0 or 1.
     """
     pending: dict[int, list[int]] = {}
+    slots = set(range(1, config.max_position + 1))
 
-    def take(j: int) -> tuple[list[int], PreparedBatch]:
+    def take(j: int) -> tuple[list[int], PreparedBatch, np.ndarray, np.ndarray]:
         index = pending.pop(j)
-        prep = prepare_batch([requests[i] for i in index], config)
-        if prep.clicks is None:
-            raise UsageError("training and scoring need requests with logged positions and clicks")
-        return index, prep
+        batch = [requests[i] for i in index]
+        prep = prepare_batch(batch, config)  # first: perfbench's step clock starts at this call
+        for req in batch:
+            counted = len(req.positions) == len(req.clicks) == j
+            if not (counted and set(req.positions) <= slots and set(req.clicks) <= {0, 1}):
+                raise UsageError(
+                    f"request {req.request_id!r} needs logged positions and clicks for its {j} candidates, "
+                    f"positions in [1, {config.max_position}] and clicks 0 or 1; "
+                    f"it logs positions {req.positions} and clicks {req.clicks}"
+                )
+        positions = np.array([p for r in batch for p in r.positions], dtype=np.int64)
+        clicks = np.array([c for r in batch for c in r.clicks], dtype=np.float64)
+        return index, prep, positions, clicks
 
     for i in order:
         j = requests[i].num_candidates
@@ -144,10 +158,10 @@ def score_requests(params: ParameterSet, requests: list[Request]) -> tuple[np.nd
     scores, clicks, positions = np.empty(starts[-1]), np.empty(starts[-1]), np.empty(starts[-1], np.int64)
     batches = _request_batches(requests, range(len(requests)), lambda j: SCORE_BATCH_REQUESTS, params.config)
     with ad.no_grad():
-        for index, prep in batches:
-            p = score_displayed(params, prep, positions=evaluation_positions(params, prep.positions))
+        for index, prep, logged, clicked in batches:
+            p = score_displayed(params, prep, evaluation_positions(params, logged))
             rows = np.add.outer(starts[index], np.arange(prep.num_items)).ravel()
-            scores[rows], clicks[rows], positions[rows] = p.data, prep.clicks, prep.positions
+            scores[rows], clicks[rows], positions[rows] = p.data, clicked, logged
     return scores, clicks, positions
 
 
@@ -157,12 +171,12 @@ def evaluate(params: ParameterSet, requests: list[Request]) -> PaucReport:
     return pauc(scores, clicks, positions)
 
 
-def _group_grad_norms(epoch: int, grads: dict[str, np.ndarray]) -> list[GradNorm]:
+def _group_grad_norms(epoch: int, params: dict[str, ad.Tensor]) -> list[GradNorm]:
     """L2 norm of the gradient of each parameter group (name up to the first `.`)."""
     squares: dict[str, float] = {}
-    for name, g in grads.items():
+    for name, t in params.items():
         group = name.partition(".")[0]
-        squares[group] = squares.get(group, 0.0) + float(np.vdot(g, g))
+        squares[group] = squares.get(group, 0.0) + float(np.vdot(t.grad, t.grad))
     return [GradNorm(epoch, group, float(np.sqrt(sq))) for group, sq in squares.items()]
 
 
@@ -192,7 +206,7 @@ def train(
                 f"(first: {offending[0]})"
             )
     params = build_model(config, variant, train_config.seed)
-    opt = ad.Optimizer(lr=train_config.learning_rate)
+    opt = ad.Optimizer(params.tensors, lr=train_config.learning_rate)
 
     history = TrainHistory()
     best: ParameterSet | None = None
@@ -206,18 +220,15 @@ def train(
         batches = _request_batches(
             train_requests, order, lambda j: max(1, train_config.batch_size // max(1, j)), config
         )
-        for batch_index, (_, prep) in enumerate(batches):
+        for batch_index, (_, prep, positions, clicks) in enumerate(batches):
             params.zero_grads()
             try:
-                p = score_displayed(params, prep)
-                loss = ad.binary_cross_entropy(p, prep.clicks)
+                p = score_displayed(params, prep, positions)
+                loss = ad.binary_cross_entropy(p, clicks)
             except NumericError as exc:
                 raise NumericError(f"non-finite loss in epoch {epoch}, batch {batch_index}: {exc}") from exc
             ad.backward(loss)
-            grads = {
-                name: t.grad for name, t in params.tensors.items() if t.grad is not None
-            }
-            opt.step(params.tensors, grads)
+            opt.step()
             losses.append(float(loss.data))
 
         val_auc = val_pauc = float("nan")
@@ -234,6 +245,6 @@ def train(
                 best = params.copy()
                 history.best_epoch = epoch
         history.epochs.append(EpochStats(epoch, float(np.mean(losses)), val_auc, val_pauc, time.perf_counter() - t0))
-        history.grad_norms.extend(_group_grad_norms(epoch, grads))
+        history.grad_norms.extend(_group_grad_norms(epoch, opt.params))
 
     return (best if best is not None else params), history

@@ -49,6 +49,13 @@ def labeled_request(config: ModelConfig, seed, click_rate: float = 0.3):
     return req
 
 
+def logged_labels(requests) -> tuple[np.ndarray, np.ndarray]:
+    """The requests' logged positions [B*J] and clicks [B*J], as training stacks them."""
+    positions = np.array([p for r in requests for p in r.positions], dtype=np.int64)
+    clicks = np.array([c for r in requests for c in r.clicks], dtype=np.float64)
+    return positions, clicks
+
+
 @pytest.fixture
 def small_config():
     return tiny_config()

@@ -38,10 +38,10 @@ from posrank.model import (
     score_displayed,
     transformer_encode,
 )
-from posrank.serving import synthetic_request
+from posrank.serving import allocate_request, synthetic_request
 from posrank.train import score_requests
 
-from conftest import desk_config, labeled_request, tiny_config
+from conftest import desk_config, labeled_request, logged_labels, tiny_config
 from verifiers import dense_interest_aggregation, gradient_check, total_sum
 
 
@@ -79,8 +79,11 @@ class TestBuildModel:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(embed_dim=0), dict(d_model=0), dict(max_len=0), dict(max_position=0), dict(blocks=-1)],
-        ids=["embed_dim", "d_model", "max_len", "max_position", "blocks"],
+        [
+            dict(embed_dim=0), dict(d_model=0), dict(max_len=0), dict(max_position=0), dict(blocks=-1),
+            dict(mlp_hidden=()), dict(vocab_sizes={f: -1 if f == "item_id" else 12 for f in VOCAB_FIELDS}),
+        ],
+        ids=["embed_dim", "d_model", "max_len", "max_position", "blocks", "mlp_hidden", "vocab_size"],
     )
     def test_sizes_below_their_minimum_rejected(self, overrides):
         with pytest.raises(UsageError, match=">= 1"):
@@ -543,22 +546,6 @@ class TestPrepareBatch:
                 np.testing.assert_array_equal(_sequence(one, 0, k), req.sequences.at(k))
                 np.testing.assert_array_equal(_sequence(batch, b, k), req.sequences.at(k))
 
-    def test_label_count_must_match_the_candidates(self):
-        cfg = tiny_config()
-        for cut in ("positions", "clicks"):
-            req = labeled_request(cfg, seed=17)
-            setattr(req, cut, getattr(req, cut)[:-1])
-            with pytest.raises(UsageError, match="candidates"):
-                prepare_batch([labeled_request(cfg, seed=18), req], cfg)
-
-    def test_logged_positions_outside_the_slots_rejected(self):
-        cfg = tiny_config()
-        for bad in (0, cfg.max_position + 1):
-            req = labeled_request(cfg, seed=17)
-            req.positions[-1] = bad
-            with pytest.raises(UsageError, match="positions"):
-                prepare_batch([req], cfg)
-
     @pytest.mark.parametrize("change", ["too_few", "too_many", "negative"], ids=lambda c: f"record_{c}")
     def test_records_must_fill_the_sequence_lengths(self, change):
         cfg = tiny_config()
@@ -575,13 +562,6 @@ class TestPrepareBatch:
             req.sequences.records = records[:11]
         with pytest.raises(UsageError, match="'r17'"):
             prepare_batch([labeled_request(cfg, seed=18), req], cfg)
-
-    def test_labelled_and_unlabelled_requests_do_not_mix(self):
-        cfg = tiny_config()
-        unlabelled = synthetic_request(cfg, cfg.max_position, seed=3)
-        with pytest.raises(UsageError, match="mixes"):
-            prepare_batch([labeled_request(cfg, seed=17), unlabelled], cfg)
-        assert prepare_batch([unlabelled], cfg).positions is None
 
 
 def _randomize_slot_table(params):
@@ -674,8 +654,9 @@ class TestPredictMatrix:
         params = build_model(cfg, variant, seed=10)
         requests = [labeled_request(cfg, seed=s) for s in (17, 18, 19)]
         prep = prepare_batch(requests, cfg)
+        positions, _ = logged_labels(requests)
         with ad.no_grad():
-            scored = score_displayed(params, prep).data.reshape(len(requests), -1)
+            scored = score_displayed(params, prep, positions).data.reshape(len(requests), -1)
         for row, req in zip(scored, requests):
             m = predict_matrix(params, req)
             for j, k in enumerate(req.positions):
@@ -704,6 +685,15 @@ class TestPredictMatrix:
         served = np.stack([predict_matrix(params, r) for r in requests])
         for k in range(cfg.max_position):
             assert served[:, :, k].tobytes() == offline.tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_request_without_candidates_is_rejected(self, variant):
+        cfg = tiny_config()
+        params = build_model(cfg, variant, seed=10)
+        empty = synthetic_request(cfg, 0, seed=11)
+        for serve in (predict_matrix, allocate_request):
+            with pytest.raises(UsageError, match="at least one candidate"):
+                serve(params, empty)
 
     def test_positions_of_the_wrong_length_rejected(self):
         cfg = tiny_config()
@@ -754,13 +744,14 @@ class TestOutOfVocabularyIds:
         cfg = tiny_config()
         params = build_model(cfg, variant, seed=4)
         req = labeled_request(cfg, seed=31)
+        positions, _ = logged_labels([req])
         predict_matrix(params, req)
-        score_displayed(params, prepare_batch([req], cfg))
+        score_displayed(params, prepare_batch([req], cfg), positions)
         _corrupt_ids(req, cfg, case, variant)
         with pytest.raises(UsageError, match="out of range"):
             predict_matrix(params, req)
         with pytest.raises(UsageError, match="out of range"):
-            score_displayed(params, prepare_batch([req], cfg))
+            score_displayed(params, prepare_batch([req], cfg), positions)
 
 
 def _reseal(blob: bytes) -> bytes:
@@ -892,9 +883,10 @@ class TestGradientFidelity:
     def test_every_declared_parameter_gets_a_gradient(self, variant):
         # the optimizer needs a gradient for every parameter on every step
         cfg = tiny_config()
-        prep = prepare_batch([labeled_request(cfg, seed=s) for s in (31, 32)], cfg)
+        requests = [labeled_request(cfg, seed=s) for s in (31, 32)]
+        positions, clicks = logged_labels(requests)
         params = build_model(cfg, variant, seed=30)
-        ad.backward(ad.binary_cross_entropy(score_displayed(params, prep), prep.clicks))
+        ad.backward(ad.binary_cross_entropy(score_displayed(params, prepare_batch(requests, cfg), positions), clicks))
         assert [n for n, t in params.tensors.items() if t.grad is None] == []
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -902,10 +894,11 @@ class TestGradientFidelity:
         cfg = tiny_config()
         requests = [labeled_request(cfg, seed=s) for s in (31, 32)]
         prep = prepare_batch(requests, cfg)
+        positions, clicks = logged_labels(requests)
         params = build_model(cfg, variant, seed=30)
 
         def build_loss(tensors):
-            return ad.binary_cross_entropy(score_displayed(params, prep), prep.clicks)
+            return ad.binary_cross_entropy(score_displayed(params, prep, positions), clicks)
 
         err = gradient_check(build_loss, params.tensors, epsilon=1e-6, max_coords_per_tensor=6)
         assert err < 1e-5, f"{variant}: max relative error {err:.2e}"

@@ -18,7 +18,7 @@ from posrank.train import (
     train,
 )
 
-from conftest import labeled_request, tiny_config
+from conftest import labeled_request, logged_labels, tiny_config
 
 
 def _bce(p, y) -> float:
@@ -140,8 +140,8 @@ class TestTrainLoop:
         tc = TrainConfig(batch_size=100, epochs=1, seed=6, eval_every=0)  # one batch
         _, history = train(requests, cfg, "DPIN", tc)
         fresh = build_model(cfg, "DPIN", tc.seed)
-        prep = prepare_batch(requests, cfg)
-        backward(binary_cross_entropy(score_displayed(fresh, prep), prep.clicks))
+        positions, clicks = logged_labels(requests)
+        backward(binary_cross_entropy(score_displayed(fresh, prepare_batch(requests, cfg), positions), clicks))
         squares: dict[str, float] = {}
         for name, t in fresh.tensors.items():
             if t.grad is not None:
@@ -190,6 +190,19 @@ class TestEvaluationProtocols:
             with pytest.raises(UsageError, match="at least one request"):
                 entry(params, [])
 
+    def test_a_request_without_candidates_is_rejected(self):
+        cfg = tiny_config()
+        empty = labeled_request(cfg, seed=17)
+        empty.candidates, empty.positions, empty.clicks = [], [], []
+        requests = [labeled_request(cfg, seed=18), empty]
+        params = build_model(cfg, "DPIN", seed=3)
+        for call in (
+            lambda: train(requests, cfg, "DPIN", TrainConfig(batch_size=6, epochs=1, seed=4, eval_every=0)),
+            lambda: score_requests(params, requests),
+        ):
+            with pytest.raises(UsageError, match="at least one candidate"):
+                call()
+
     def test_unlabelled_requests_are_rejected_with_one_message(self):
         cfg = tiny_config()
         params = build_model(cfg, "DPIN", seed=3)
@@ -207,6 +220,52 @@ class TestEvaluationProtocols:
                 call()
             messages.add(str(caught.value))
         assert len(messages) == 1
+
+
+_LABEL_READERS = {
+    "train": lambda cfg, requests: train(
+        requests, cfg, "DPIN", TrainConfig(batch_size=100, epochs=1, seed=4, eval_every=0)
+    ),
+    "score_requests": lambda cfg, requests: score_requests(build_model(cfg, "DPIN", seed=3), requests),
+}
+
+
+@pytest.mark.parametrize("reader", list(_LABEL_READERS))
+class TestLoggedLabels:
+    """Every request of a batch logs one position in [1, K] and one click of 0 or 1 per candidate."""
+
+    def _rejects(self, reader, requests, match):
+        cfg = tiny_config()
+        with pytest.raises(UsageError, match=match):
+            _LABEL_READERS[reader](cfg, requests)
+
+    def test_label_count_must_match_the_candidates(self, reader):
+        cfg = tiny_config()
+        for cut in ("positions", "clicks"):
+            req = labeled_request(cfg, seed=17)
+            req.request_id = "r17"
+            setattr(req, cut, getattr(req, cut)[:-1])
+            self._rejects(reader, [labeled_request(cfg, seed=18), req], "'r17'.* 3 candidates")
+
+    def test_logged_positions_outside_the_slots_rejected(self, reader):
+        cfg = tiny_config()
+        for bad in (0, cfg.max_position + 1):
+            req = labeled_request(cfg, seed=17)
+            req.positions[-1] = bad
+            self._rejects(reader, [req], rf"positions in \[1, {cfg.max_position}\]")
+
+    def test_clicks_other_than_0_or_1_rejected(self, reader):
+        cfg = tiny_config()
+        for bad in (2, -1, 0.5):
+            req = labeled_request(cfg, seed=17)
+            req.clicks[0] = bad
+            self._rejects(reader, [req], "clicks 0 or 1")
+
+    def test_labelled_and_unlabelled_requests_do_not_mix(self, reader):
+        cfg = tiny_config()
+        unlabelled = synthetic_request(cfg, cfg.max_position, seed=3)
+        unlabelled.request_id = "served"
+        self._rejects(reader, [labeled_request(cfg, seed=17), unlabelled], "'served'")
 
 
 def _mixed_requests(cfg, counts, seed0=60):
