@@ -36,10 +36,14 @@ records are embedded, projected and scored: the per-position sequences are
 mostly short (clicks pile up at the top slots), so a padded [B, K, L] grid
 would be mostly padding. Records and queries meet block by block in
 `autodiff.additive_scores`, so the [R, M, d_model] hidden layer of the
-attention is never held whole. The scores and records are then placed in
-padded [N, M, L] logits and an [N, L, D] grid for the softmax and the
-pooling, which keeps every pooled row's bits as when the whole grid was
-scored.
+attention is never held whole. How the scores pool is the history stage's:
+the per-request stage, one query per sequence, takes each sequence's
+softmax over its real rows and sums its weighted records on the packed
+rows (`autodiff.segment_softmax_pool`). The stages with M queries per
+sequence place the scores in padded [N, M, L] logits and the records in an
+[N, L, D] grid for a masked softmax and one BLAS `bmm`, which keeps every
+pooled row's bits as when the whole grid was scored: a segment sum per
+query is tens of times slower than that product on full histories.
 
 Tensor names say a parameter's role, not its variant. Affine layer `name`
 owns weight `name.w` and bias `name.b`: `base.{i}`, the one attention's
@@ -389,15 +393,13 @@ def base_module_forward(params: ParameterSet, user: Tensor, context: Tensor, ite
     return x
 
 
-def _attention_logits(
-    params: ParameterSet, records: Tensor, segment: np.ndarray, place: np.ndarray | None, query: Tensor, n: int
-) -> Tensor:
-    """`att.score` of ReLU(`att.hidden` of [record, query]) in [N, M, L] logits (see `interest_aggregation`).
+def _attention_logits(params: ParameterSet, records: Tensor, segment: np.ndarray, query: Tensor, n: int) -> Tensor:
+    """`att.score` of ReLU(`att.hidden` of [record, query]): packed [R, M] logits (see `interest_aggregation`).
 
     The projections die as the scores are made, and the packed scores with
     the call, before the softmax and the pooling allocate theirs.
     """
-    dim, m, seq_len = records.shape[1], query.shape[0] // n, params.config.max_len
+    dim, m = records.shape[1], query.shape[0] // n
     wa, ba = params.tensors["att.hidden.w"], params.tensors["att.hidden.b"]
     scores = ad.additive_scores(
         ad.matmul(records, ad.gather_rows(wa, np.arange(dim))),
@@ -406,7 +408,12 @@ def _attention_logits(
         params.tensors["att.score.w"],
     )
     # the bias goes on as an affine layer adds it, to one logit per row
-    logits = ad.reshape(ad.reshape(scores, (scores.shape[0] * m, 1)) + params.tensors["att.score.b"], (-1, m))
+    return ad.reshape(ad.reshape(scores, (scores.shape[0] * m, 1)) + params.tensors["att.score.b"], (-1, m))
+
+
+def _padded_logits(logits: Tensor, place: np.ndarray | None, n: int, seq_len: int) -> Tensor:
+    """Packed [R, M] logits in padded [N, M, L] order; `place` is each record's row of the [N*L] grid."""
+    m = logits.shape[1]
     if place is not None:
         # padding steps get -1e9, so their softmax weight underflows to 0
         logits = ad.scatter_rows(logits, place, n * seq_len, _MASK_OFF)
@@ -427,11 +434,18 @@ def interest_aggregation(params: ParameterSet, records: Tensor, lengths: np.ndar
     the query rows), and meet block by block in `autodiff.additive_scores`,
     so no sequence is copied per query, the [R, M, d_model] hidden layer is
     never held whole and no padding slot is embedded, projected or scored.
-    The scores are then placed in [N, M, L] logits, padding at -1e9 so its
-    softmax weight underflows to 0, and the records in an [N, L, D] grid,
-    padding at zero: the softmax and the pooling run on every sequence
-    padded to L, so each pooled row keeps the bits of the padded
-    computation. An empty sequence pools to zeros.
+    An empty sequence pools to zeros.
+
+    How the logits are pooled is the variant's history stage, never the
+    batch. The per-request stage (DPIN, DPIN-Transformer) has one query per
+    sequence (M = 1, else UsageError): `autodiff.segment_softmax_pool` takes
+    each sequence's softmax over its real rows and sums its weighted records
+    on the packed rows. The stages with M queries per sequence (DIN,
+    `DPIN+ItemAction`) place the scores in [N, M, L] logits, padding at -1e9
+    so its softmax weight underflows to 0, and the records in an [N, L, D]
+    zero grid, and pool with one row-stable `bmm`: a segment sum per query is
+    tens of times slower than that BLAS product on full histories. Either
+    way a pooled row's bits depend only on its own sequence and query.
     """
     lengths = np.asarray(lengths)
     seq_len = params.config.max_len
@@ -452,11 +466,17 @@ def interest_aggregation(params: ParameterSet, records: Tensor, lengths: np.ndar
     if query.ndim != 2 or query.shape[0] % n:
         raise UsageError(f"interest_aggregation: {query.shape} queries do not split over {n} sequences")
     m, (r, dim) = query.shape[0] // n, records.shape
+    per_request = variant_spec(params.variant).history == PER_REQUEST
+    if per_request and m != 1:
+        raise UsageError(f"interest_aggregation: the per-request stage pools one query per sequence, got {m}")
     segment = np.repeat(np.arange(n), lengths)
+    if per_request:
+        logits = ad.reshape(_attention_logits(params, records, segment, query, n), (r,))
+        return ad.segment_softmax_pool(logits, records, lengths)
     # each record's row of the padded [N*L, ...] grids: its sequence's block, then its step;
     # with no padding the packed rows are the grids
     place = None if r == n * seq_len else np.flatnonzero(np.arange(seq_len) < lengths[:, None])
-    weights = ad.softmax(_attention_logits(params, records, segment, place, query, n))
+    weights = ad.softmax(_padded_logits(_attention_logits(params, records, segment, query, n), place, n, seq_len))
     grid = records if place is None else ad.scatter_rows(records, place, n * seq_len)
     return ad.reshape(ad.bmm(weights, ad.reshape(grid, (n, seq_len, dim))), (n * m, dim))
 

@@ -37,7 +37,9 @@ def synthetic_request(config: ModelConfig, n_items: int, seed) -> Request:
     """A deterministic request at ts 0 with full behavior sequences, for benchmarking.
 
     Its user's history is K·L `encode_history` rows one minute apart before
-    ts 0, click r at position r mod K + 1, cut like any logged history.
+    ts 0, click r at position r mod K + 1, cut like any logged history. Its
+    id names the seed and the candidate count, so an error that names a
+    request tells two synthetic requests apart.
     """
     rng = np.random.default_rng(seed)
 
@@ -49,7 +51,7 @@ def synthetic_request(config: ModelConfig, n_items: int, seed) -> Request:
     history = np.column_stack([60 * np.arange(-n, 0), np.arange(n) % config.max_position + 1, ids])
     candidates = [Candidate(draw(ITEM_FIELDS), bid=float(np.exp(rng.normal(0.0, 0.3)))) for _ in range(n_items)]
     return Request(
-        request_id="bench",
+        request_id=f"synthetic seed={seed} J={n_items}",
         day=0,
         traffic="regular",
         ts=0,

@@ -217,7 +217,8 @@ class TestScatterAdd:
         g = g.reshape(rows.size, dim)
         ref = np.zeros((n_rows, dim))
         np.add.at(ref, rows, g)
-        assert ad._scatter_add_rows(rows, g, n_rows).tobytes() == ref.tobytes()
+        out = ad._scatter_add_rows(rows, g, n_rows)
+        assert out.dtype == np.float64 and out.tobytes() == ref.tobytes()
 
     def test_embedding_and_gather_vjps_match_add_at(self):
         rng = np.random.default_rng(13)
@@ -255,6 +256,8 @@ def _op_cases():
     # their own streams: the other cases keep their draws
     c_att = np.random.default_rng(8).normal(size=(7, 2))
     c_scatter = np.random.default_rng(9).normal(size=(6, 3))
+    pool_rng = np.random.default_rng(10)
+    c_pool = pool_rng.normal(size=(4, 3))
     return [
         ("matmul", {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))},
          lambda t: total_sum(ad.matmul(t["a"], t["b"]))),
@@ -293,7 +296,49 @@ def _op_cases():
          lambda t: total_sum(ad.additive_scores(t["r"], t["q"], np.repeat([0, 2], [3, 4]), t["w"]) * c_att)),
         ("scatter_rows", {"x": rng.normal(size=(4, 3))},
          lambda t: total_sum(ad.scatter_rows(t["x"], np.array([5, 0, 2, 3]), 6, fill=-2.0) * c_scatter)),
+        # 8 records in sequences of 3, 0, 4 and 1 rows; the empty one pools to zeros
+        ("segment_softmax_pool", {"x": pool_rng.normal(size=8), "r": pool_rng.normal(size=(8, 3))},
+         lambda t: total_sum(ad.segment_softmax_pool(t["x"], t["r"], np.array([3, 0, 4, 1])) * c_pool)),
     ]
+
+
+class TestSegmentSoftmaxPool:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.one_of(st.integers(0, 12), st.integers(50, 90)), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # sequences of one length from _POOL_BLAS_MIN rows pool together, in a slice when consecutive
+    @example(lengths=[70, 3, 70, 70, 0, ad._POOL_BLAS_MIN, ad._POOL_BLAS_MIN - 1], seed=0)
+    def test_each_row_is_its_sequence_pooled_alone(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        lengths = np.array(lengths)
+        logits = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-2, 3)
+        records = rng.normal(size=(lengths.sum(), 5))
+        out = ad.segment_softmax_pool(Tensor(logits), Tensor(records), lengths).data
+        ends = np.cumsum(lengths)
+        for n, (lo, hi) in enumerate(zip(ends - lengths, ends)):
+            alone = ad.segment_softmax_pool(Tensor(logits[lo:hi]), Tensor(records[lo:hi]), lengths[n : n + 1]).data
+            assert alone.tobytes() == out[n : n + 1].tobytes()
+            if hi == lo:
+                assert alone.tobytes() == np.zeros((1, 5)).tobytes()
+            else:
+                weights = ad.softmax(Tensor(logits[lo:hi])).data
+                np.testing.assert_allclose(alone[0], weights @ records[lo:hi], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "logits,lengths",
+        [(np.zeros(3), [1, 1]), (np.zeros(4), [2, 1]), (np.zeros(3), [4, -1]), (np.zeros(3), [1.0, 2.0]),
+         (np.zeros((3, 1)), [1, 2])],
+        ids=["sum_under", "logits_over", "negative", "float", "logits_matrix"],
+    )
+    def test_bad_shapes_rejected(self, logits, lengths):
+        with pytest.raises(UsageError, match="segment_softmax_pool"):
+            ad.segment_softmax_pool(Tensor(logits), Tensor(np.ones((3, 2))), np.array(lengths))
+
+    def test_non_finite_logits_rejected(self):
+        with pytest.raises(NumericError):
+            ad.segment_softmax_pool(Tensor([0.0, np.nan]), Tensor(np.ones((2, 2))), np.array([2]))
 
 
 class TestScatterRows:

@@ -1,15 +1,17 @@
 """Model zoo contracts: shapes, variant semantics, bit-level reproducibility."""
 
+import re
 import struct
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posrank.autodiff as ad
+from posrank import world
 from posrank.autodiff import Tensor
 from posrank.data import (
     CONTEXT_FIELDS,
@@ -17,7 +19,10 @@ from posrank.data import (
     ITEM_FIELDS,
     USER_FIELDS,
     VOCAB_FIELDS,
+    Vocabulary,
     build_position_behavior_sequences,
+    encode_history,
+    group_requests,
 )
 from posrank.errors import FormatError, UsageError
 from posrank.model import (
@@ -295,6 +300,52 @@ class TestInterestAggregation:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(g_records, g_grid[mask > 0], rtol=1e-10, atol=1e-13)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[0, 0, 0], seed=1)
+    @example(lengths=[12, 12], seed=2)
+    @example(lengths=[3, 0, 5], seed=3)
+    def test_per_request_segment_pooling_equals_the_dense_definition(self, lengths, seed):
+        # the per-request stage sums in record order where the dense path sums a padded row with BLAS,
+        # so its forward holds to roundoff, not to the byte; empty sequences pool to +0.0 bytes
+        cfg = tiny_config(max_len=12)
+        params = build_model(cfg, "DPIN", seed=3)
+        rng = np.random.default_rng(seed)
+        params.tensors["att.hidden.b"].data[:] = rng.normal(size=cfg.d_model)
+        lengths = np.array(lengths)
+        n = len(lengths)
+        emb = rng.normal(size=(n, cfg.max_len, cfg.behavior_dim))
+        mask = (np.arange(cfg.max_len) < lengths[:, None]).astype(np.float64)
+        query = rng.normal(size=(n, cfg.context_dim))
+        c = rng.normal(size=(n, cfg.behavior_dim))
+        att = [params.tensors[k] for k in ("att.hidden.w", "att.hidden.b", "att.score.w", "att.score.b")]
+
+        def run(pool, records):
+            q = Tensor(query, requires_grad=True)
+            for t in [records] + att:
+                t.grad = None
+            out = pool(records, q)
+            ad.backward(total_sum(out * c))
+            return out.data, [q.grad] + [t.grad for t in att], records.grad
+
+        packed, packed_grads, g_records = run(
+            lambda r, q: interest_aggregation(params, r, lengths, q), Tensor(_packed(emb, lengths).data, requires_grad=True)
+        )
+        dense, dense_grads, g_grid = run(
+            lambda r, q: dense_interest_aggregation(params, r, mask, q), Tensor(emb, requires_grad=True)
+        )
+        np.testing.assert_allclose(packed, dense, rtol=1e-12, atol=1e-14)
+        assert packed[lengths == 0].tobytes() == np.zeros((np.sum(lengths == 0), cfg.behavior_dim)).tobytes()
+        for got, want in zip(packed_grads, dense_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(g_records, g_grid[mask > 0], rtol=1e-10, atol=1e-13)
+
+    def test_per_request_stage_takes_one_query_per_sequence(self):
+        cfg, params, emb, _ = self._setup()
+        query = Tensor(np.ones((4, cfg.context_dim)))
+        with pytest.raises(UsageError, match="one query per sequence"):
+            interest_aggregation(params, _packed(emb, [2, 1]), np.array([2, 1]), query)
+
     def test_query_rows_must_split_over_sequences(self):
         params, emb, lengths, query = self._many_queries()
         with pytest.raises(UsageError, match="queries"):
@@ -550,7 +601,6 @@ class TestPrepareBatch:
     def test_records_must_fill_the_sequence_lengths(self, change):
         cfg = tiny_config()
         req = labeled_request(cfg, seed=17)
-        req.request_id = "r17"
         records = req.sequences.records
         if change == "too_few":
             req.sequences.records = records[:-1]
@@ -560,7 +610,7 @@ class TestPrepareBatch:
             # K = 3, L = 4: as many records as the lengths sum to, one length negative
             req.sequences.lengths = np.array([4, 4, -1, 4])
             req.sequences.records = records[:11]
-        with pytest.raises(UsageError, match="'r17'"):
+        with pytest.raises(UsageError, match=re.escape(repr(req.request_id))):
             prepare_batch([labeled_request(cfg, seed=18), req], cfg)
 
 
@@ -732,6 +782,39 @@ def _corrupt_ids(req, cfg: ModelConfig, case: str, variant: str) -> None:
     else:  # one clicked item in the history the variant reads
         history = req.sequences.at(0) if variant == "DIN" else req.sequences.at(1)
         history[0, HISTORY_COLUMNS.index("item_id")] = vocab["item_id"]
+
+
+@pytest.fixture(scope="module")
+def logged_world():
+    """Desk shapes at the vocabulary of a small simulated world, and its logged requests."""
+    sim = world.user_dependent_config(n_users=30, n_items=60, requests_per_day=40, days=3, randomized_fraction=0.5)
+    impressions, behaviors = world.simulate_traffic(world.generate_world(sim, 0))
+    vocab = Vocabulary.build(impressions)
+    cfg = desk_config(vocab_sizes={f: vocab.size(f) for f in VOCAB_FIELDS})
+    history = encode_history(behaviors, vocab)
+    return cfg, group_requests(impressions, vocab, history, cfg.max_position, cfg.max_len)
+
+
+class TestBatchIndependence:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_full_sparse_and_empty_histories_score_as_alone(self, variant, logged_world):
+        cfg, logged = logged_world
+        k, seq_len = cfg.max_position, cfg.max_len
+        empty = next(r for r in logged if not r.sequences.lengths.any())
+        sparse = next(r for r in reversed(logged) if 0 < r.sequences.lengths[1:].sum() < k * seq_len // 4)
+        assert empty.num_candidates == sparse.num_candidates
+        full = synthetic_request(cfg, sparse.num_candidates, seed=8)
+        assert (full.sequences.lengths == seq_len).all()
+        params = build_model(cfg, variant, seed=4)
+
+        def scores(requests):
+            slots = np.tile(np.arange(1, k + 1), (sum(r.num_candidates for r in requests), 1))
+            with ad.no_grad():
+                return score_displayed(params, prepare_batch(requests, cfg), evaluation_positions(params, slots)).data
+
+        batch = scores([full, sparse, empty])
+        alone = np.concatenate([scores([r]) for r in (full, sparse, empty)])
+        assert batch.tobytes() == alone.tobytes()
 
 
 class TestOutOfVocabularyIds:

@@ -160,6 +160,12 @@ class TestSyntheticRequest:
         assert pickle.dumps(first) == pickle.dumps(again)
         assert pickle.dumps(first) != pickle.dumps(other)
 
+    def test_ids_tell_synthetic_requests_apart(self):
+        cfg = tiny_config()
+        ids = [synthetic_request(cfg, j, seed=s).request_id for s in (3, [3, 5], [4, 5]) for j in (2, 5)]
+        assert len(set(ids)) == len(ids)
+        assert synthetic_request(cfg, 5, seed=[3, 5]).request_id == ids[3]
+
 
 class TestBenchmark:
     def test_table_shape_and_sanity(self):
