@@ -54,20 +54,14 @@ with one ``_scatter_add_rows``.
 ``segment_softmax_pool`` is the pooling of a history stage with one query
 per sequence: packed logits [R] and records [R, D] in, each sequence's
 softmax-weighted record sum [N, D] out, with no padded grid and no mask.
-Sequences shorter than ``_POOL_BLAS_MIN`` rows take their softmax and sum
-their weighted records in record order, with ``np.bincount`` and one
-``_scatter_add_rows``. Longer ones are grouped by length: a group takes its
-softmax by row and pools through the row-stable kernel, one [1, l] @ [l, D]
-product per sequence in one call. Both choices are functions of a
-sequence's own length, so its bits never depend on the other sequences of
-the call. Why 64 rows (D = 56, one BLAS thread): the in-order sum costs
-about 0.2 µs per record and a BLAS call 5-10 µs plus 0.04 µs per record, so
-a lone sequence pools faster in numpy up to about 100 rows (64 rows: 16 µs
-against 19; 128: 28 against 22) and ten of one length faster through BLAS
-from 8 rows (64 rows: 233 µs against 63). A paper-scale request's 25 full
-sequences of 300 rows take 3.9 ms summed in numpy and 0.3 ms as one BLAS
-slice. Every desk sequence (L = 30) stays in numpy, where a training step
-of real, sparse histories is fastest with no BLAS call at all.
+Every sequence takes its max, its exponentials and every sum over its own
+rows in record order from zero (``np.bincount`` for the softmax, one
+``_scatter_add_rows`` for the weighted records), so its bits never depend on
+the other sequences of the call. On a training step of real, sparse
+histories (L = 30) this costs no BLAS call at all. On long full sequences it
+is slower than a BLAS product: 25 sequences of 300 rows (D = 56, one BLAS
+thread) take about 0.5 ms for the weighted records and 1.1 ms for their
+in-order sum, where the grid's ``bmm`` pools them in 0.4 ms.
 
 Gradients are built lazily: each op records its parents and a vector-
 Jacobian closure; ``backward`` walks the tape in reverse topological
@@ -111,8 +105,6 @@ def no_grad():
 _BLOCK = 8
 # floats of hidden layer per block in additive_scores (see the module docstring)
 _SCORE_BLOCK = 1 << 17
-# rows from which segment_softmax_pool pools a sequence with BLAS (see the module docstring)
-_POOL_BLAS_MIN = 64
 
 
 def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -490,60 +482,16 @@ def additive_scores(records: Tensor, queries: Tensor, segment, w: Tensor) -> Ten
     return _make(data, (records, queries, w), vjp)
 
 
-def _softmax_pool(x: np.ndarray, records: np.ndarray, lengths: np.ndarray, segment: np.ndarray):
-    """Each sequence's softmax weights [R] and weighted record sum [N, D], +0.0 for an empty sequence.
-
-    A sequence shorter than `_POOL_BLAS_MIN` rows takes its max, its
-    exponentials and every sum over its own rows in record order from zero
-    (`_scatter_add_rows` for the records). Longer ones are grouped by length:
-    a group's rows take the softmax by row as `softmax` does, and each
-    sequence pools as a [1, l] @ [l, D] product of the row-stable kernel,
-    whose bits depend on (l, D) alone (see the module docstring).
-    """
-    n, dim = lengths.size, records.shape[1]
-    long = lengths >= _POOL_BLAS_MIN
-    any_long = long.any()
-    w, out = np.empty_like(x), np.zeros((n, dim))
-    short = np.where(long, 0, lengths)
-    if short.any():
-        rows = ~long[segment] if any_long else slice(None)
-        seg, xs = segment[rows], x[rows]
-        filled = np.flatnonzero(short)
-        peak = np.zeros(n)
-        # the rows from one non-empty sequence's first record to the next one's are its own
-        peak[filled] = np.maximum.reduceat(xs, (np.cumsum(short) - short)[filled])
-        e = np.exp(xs - peak[seg])
-        w[rows] = e / np.bincount(seg, weights=e, minlength=n)[seg]
-        out = _scatter_add_rows(seg, w[rows, None] * records[rows], n)
-    if not any_long:
-        return w, out
-    starts = np.cumsum(lengths) - lengths
-    for length in np.unique(lengths[long]):
-        seqs = np.flatnonzero(lengths == length)
-        if seqs[-1] - seqs[0] + 1 == seqs.size:
-            # consecutive sequences of one length are a slice: no copy of their records
-            rows = slice(starts[seqs[0]], starts[seqs[-1]] + length)
-        else:
-            rows = (starts[seqs, None] + np.arange(length)).reshape(-1)
-        logits = x[rows].reshape(-1, 1, length)
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        weights = e / e.sum(axis=-1, keepdims=True)
-        w[rows] = weights.reshape(-1)
-        out[seqs] = _row_stable_matmul(weights, records[rows].reshape(-1, length, dim)).reshape(-1, dim)
-    return w, out
-
-
 def segment_softmax_pool(logits: Tensor, records: Tensor, lengths) -> Tensor:
     """Each sequence's softmax-weighted record sum: logits [R], records [R, D], lengths [N] -> [N, D].
 
     The records are N sequences back to back, ``lengths[n]`` rows for
     sequence n, each with one logit. Sequence n's weights are the softmax of
     its own logits, and row n of the result is the sum of its records times
-    their weights (`_softmax_pool`); an empty sequence gives a row of +0.0.
-    How a sequence is pooled depends on its own length alone, and the VJP's
-    sums run over one sequence's rows in record order from zero, so a row's
-    bits never depend on the other sequences of the call. The VJP gathers
-    each record's output gradient g: records get w·g, and logits
+    their weights; an empty sequence gives a row of +0.0. Every sum, forward
+    and in the VJP, runs over one sequence's rows in record order from zero,
+    so a row's bits never depend on the other sequences of the call. The
+    VJP gathers each record's output gradient g: records get w·g, and logits
     w·(g_w − Σ w·g_w) with g_w the row-dot of g and the record, summed over
     the record's sequence.
     """
@@ -566,7 +514,14 @@ def segment_softmax_pool(logits: Tensor, records: Tensor, lengths) -> Tensor:
         raise NumericError("segment_softmax_pool logits contain NaN/Inf")
     n = lengths.size
     segment = np.repeat(np.arange(n), lengths)
-    w, data = _softmax_pool(logits.data, records.data, lengths, segment)
+    filled = np.flatnonzero(lengths)
+    peak = np.zeros(n)
+    if filled.size:
+        # the rows from one non-empty sequence's first record to the next one's are its own
+        peak[filled] = np.maximum.reduceat(logits.data, (np.cumsum(lengths) - lengths)[filled])
+    e = np.exp(logits.data - peak[segment])
+    w = e / np.bincount(segment, weights=e, minlength=n)[segment]
+    data = _scatter_add_rows(segment, w[:, None] * records.data, n)
 
     def vjp(g):
         g_rows = g[segment]
