@@ -25,6 +25,17 @@ passes the tensors to every stage, so the item side is one path for all
 variants: one call of the base module, and the same item embeddings query
 DIN's flat history and DPIN+ItemAction's position sequences.
 
+Every embedded field has its rows in one table, `embed` [Σ rows, d]: the
+eight `VOCAB_FIELDS`, then `position` (K + 1 rows) where the variant reads
+it, then `time_bucket`, each block at a fixed first row. An id group (user,
+context, items, history records, positions) is one `autodiff.embedding` of
+its ids shifted by their fields' first rows, so one gather forward and one
+scatter back, with no concat: 6 lookups per DPIN step. Each id is first
+checked against its own field's vocabulary, since past it the table holds
+the next field's rows. A field's cells get the same gradient terms as with
+one table per field, and the other groups add exact zeros, so every value
+keeps its bits.
+
 Every history stage pools through one attention op, `interest_aggregation`,
 which scores each sequence against all of its queries at once: DIN pools a
 request's flat history against its J item queries, DPIN each position
@@ -48,7 +59,8 @@ query is tens of times slower than that product on full histories.
 Tensor names say a parameter's role, not its variant. Affine layer `name`
 owns weight `name.w` and bias `name.b`: `base.{i}`, the one attention's
 `att.hidden` and `att.score`, `inter`, `tf{b}.ff1`/`tf{b}.ff2`, `comb.1`/
-`comb.2` and the logit `head`; the wide or PAL slot table is `head.position`.
+`comb.2` and the logit `head`; the wide or PAL slot table is `head.position`,
+and `embed` holds the rows of every embedded field.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import get_origin, get_type_hints
@@ -114,7 +126,8 @@ def variant_spec(variant: str) -> VariantSpec:
 
 
 CHECKPOINT_MAGIC = b"DPIN"
-CHECKPOINT_VERSION = 4  # 2: a closing CRC-32; 3: one wq/wk/wv per block; 4: one tensor name per role
+# 2: a closing CRC-32; 3: one wq/wk/wv per block; 4: one tensor name per role; 5: one `embed` table
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -186,6 +199,22 @@ def paper_scale_config(vocab_sizes: dict[str, int]) -> ModelConfig:
     )
 
 
+def _embed_vocab(config: ModelConfig, variant: str) -> dict[str, int]:
+    """Rows of each field's block of `embed`, in table order."""
+    spec = variant_spec(variant)
+    sizes = {f: config.vocab_sizes[f] for f in VOCAB_FIELDS}
+    # read by the per-position interaction and by the combination head
+    if spec.history != FLAT_HISTORY or spec.head == COMBINATION:
+        sizes["position"] = config.max_position + 1
+    sizes["time_bucket"] = TIME_BUCKETS
+    return sizes
+
+
+_POSITION = ("position",)
+# the id groups the model embeds, each in one lookup
+_EMBED_GROUPS = (USER_FIELDS, CONTEXT_FIELDS, ITEM_FIELDS, HISTORY_COLUMNS, _POSITION)
+
+
 @dataclass
 class ParameterSet:
     """All named learnable tensors of one model variant."""
@@ -193,6 +222,19 @@ class ParameterSet:
     config: ModelConfig
     variant: str
     tensors: dict[str, Tensor]
+    embed_rows: dict[str, slice] = field(init=False, repr=False)  # each field's rows of `embed`
+    # each id group read: its fields' first rows and vocabulary sizes
+    _groups: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        sizes = _embed_vocab(self.config, self.variant)
+        ends = np.cumsum(list(sizes.values()))
+        self.embed_rows = {f: slice(int(e) - n, int(e)) for (f, n), e in zip(sizes.items(), ends)}
+        self._groups = {
+            g: (np.array([self.embed_rows[f].start for f in g]), np.array([sizes[f] for f in g]))
+            for g in _EMBED_GROUPS
+            if all(f in sizes for f in g)
+        }
 
     def names(self) -> list[str]:
         return sorted(self.tensors)
@@ -222,11 +264,7 @@ def _param_specs(config: ModelConfig, variant: str) -> list[_Spec]:
     d = config.embed_dim
     dm = config.d_model
     spec = variant_spec(variant)
-    specs = [(f"embed.{f}", "embed", (config.vocab_sizes[f], d)) for f in VOCAB_FIELDS]
-    # read by the per-position interaction and by the combination head
-    if spec.history != FLAT_HISTORY or spec.head == COMBINATION:
-        specs += [("embed.position", "embed", (config.max_position + 1, d))]
-    specs += [("embed.time_bucket", "embed", (TIME_BUCKETS, d))]
+    specs = [("embed", "embed", (sum(_embed_vocab(config, variant).values()), d))]
 
     fan_in = config.user_dim + config.context_dim + config.item_dim
     for i, width in enumerate(config.mlp_hidden):
@@ -351,10 +389,19 @@ def _affine(params: ParameterSet, name: str, x: Tensor) -> Tensor:
 
 
 def _embed_concat(params: ParameterSet, fields: tuple[str, ...], ids: np.ndarray) -> Tensor:
-    """Concat per-field embeddings: ids [..., len(fields)] -> [prod(...), len(fields)*d]."""
+    """Per-field embeddings side by side: ids [..., len(fields)] -> [prod(...), len(fields)*d].
+
+    One lookup in `embed` of each id shifted to its field's rows; UsageError
+    for an id outside its own field's vocabulary.
+    """
     flat = ids.reshape(-1, len(fields))
-    parts = [ad.embedding(params.tensors[f"embed.{f}"], flat[:, i]) for i, f in enumerate(fields)]
-    return ad.concat(parts, axis=1)
+    starts, sizes = params._groups[fields]
+    outside = (flat < 0) | (flat >= sizes)
+    if outside.any():
+        col = int(np.flatnonzero(outside.any(axis=0))[0])
+        raise UsageError(f"{fields[col]} id out of range [0, {sizes[col]})")
+    table = params.tensors["embed"]
+    return ad.reshape(ad.embedding(table, flat + starts), (flat.shape[0], len(fields) * table.shape[1]))
 
 
 def behavior_embedding(params: ParameterSet, ids: np.ndarray) -> Tensor:
@@ -489,8 +536,7 @@ def position_interaction(
     item_query: Tensor | None = None,
 ) -> Tensor:
     """Nonlinear mix of position embedding, context and pooled behavior."""
-    pos = ad.embedding(params.tensors["embed.position"], position_ids.reshape(-1))
-    parts = [pos, context, pooled_behavior]
+    parts = [_embed_concat(params, _POSITION, position_ids), context, pooled_behavior]
     if item_query is not None:
         parts.append(item_query)
     x = ad.concat(parts, axis=1)
@@ -541,7 +587,7 @@ def combination_forward(
     position_ids: np.ndarray,
 ) -> Tensor:
     """Pairwise head: sigmoid(`comb.2` of ReLU(`comb.1` of [item, position, E(k)]))."""
-    pos_embed = ad.embedding(params.tensors["embed.position"], position_ids.reshape(-1))
+    pos_embed = _embed_concat(params, _POSITION, position_ids)
     parts = [item_rep] + ([position_rep] if position_rep is not None else []) + [pos_embed]
     x = ad.concat(parts, axis=1)
     out = ad.sigmoid(_affine(params, "comb.2", ad.relu(_affine(params, "comb.1", x))))

@@ -30,8 +30,8 @@ BEHAVIORS = [
 
 IMPRESSIONS_SHA256 = "38a7536490ea7f5e341cbc1acbf92996127653b065d55f3d35953ad0425a7961"
 BEHAVIORS_SHA256 = "414bb69f9d032f4c9f862e1e4278ba783cd7761748d2993aaa7dd5cdb8058a49"
-# version 4 role names; each tensor's fill below depends on its sorted-name rank i
-CHECKPOINT_SHA256 = "4aca140ffa70199e420d0fc2748f242adb51695ab26999f4a2623dc678e48e9b"
+# version 5, one `embed` table; each tensor's fill below depends on its sorted-name rank i
+CHECKPOINT_SHA256 = "cf75a9831576b3b2b4fde6f3db858383002e4553b6bb2b9b65ad67ca68393276"
 
 
 def _sha256(path) -> str:

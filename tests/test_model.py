@@ -17,6 +17,7 @@ from posrank.data import (
     CONTEXT_FIELDS,
     HISTORY_COLUMNS,
     ITEM_FIELDS,
+    TIME_BUCKETS,
     USER_FIELDS,
     VOCAB_FIELDS,
     Vocabulary,
@@ -105,11 +106,18 @@ class TestBuildModel:
         readers = {"DIN+Combination", "DPIN-Transformer", "DPIN", "DPIN+ItemAction"}
         shapes = []
         for variant in VARIANTS:
-            tensors = build_model(cfg, variant, seed=0).tensors
-            assert ("embed.position" in tensors) == (variant in readers), variant
-            shapes.append(
-                {n: t.shape for n, t in tensors.items() if n.startswith(("embed.", "base.")) and n != "embed.position"}
-            )
+            params = build_model(cfg, variant, seed=0)
+            rows = params.embed_rows
+            # position rows exist exactly where read, between the vocabulary fields and the time buckets
+            position = ["position"] if variant in readers else []
+            assert list(rows) == [*VOCAB_FIELDS, *position, "time_bucket"], variant
+            # the fields' blocks tile `embed` in that order
+            blocks = list(rows.values())
+            assert blocks[0].start == 0 and blocks[-1].stop == params.tensors["embed"].shape[0]
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = {f: r.stop - r.start for f, r in rows.items()}
+            assert sizes.pop("position", cfg.max_position + 1) == cfg.max_position + 1
+            shapes.append((sizes, {n: t.shape for n, t in params.tensors.items() if n.startswith("base.")}))
         assert all(s == shapes[0] for s in shapes[1:])
 
     def test_desk_dpin_parameter_count_matches_closed_form(self):
@@ -181,10 +189,9 @@ class TestBehaviorEmbedding:
         params = build_model(tiny_config(), "DPIN", seed=0)
         out = behavior_embedding(params, np.zeros((1, 7), dtype=np.int64))
         d = params.config.embed_dim
-        expected = np.concatenate(
-            [params.tensors[f"embed.{f}"].data[0] for f in ("item_id", "category", "query", "geo", "hour", "dow")]
-            + [params.tensors["embed.time_bucket"].data[0]]
-        )
+        embed, rows = params.tensors["embed"].data, params.embed_rows
+        fields = ("item_id", "category", "query", "geo", "hour", "dow", "time_bucket")
+        expected = np.concatenate([embed[rows[f].start] for f in fields])
         np.testing.assert_array_equal(out.data[0], expected)
         assert out.shape[1] == 7 * d
 
@@ -836,6 +843,36 @@ class TestOutOfVocabularyIds:
         with pytest.raises(UsageError, match="out of range"):
             score_displayed(params, prepare_batch([req], cfg), positions)
 
+    @pytest.mark.parametrize("value", ["vocab_size", "negative"])
+    @pytest.mark.parametrize(
+        "group,field",
+        [("user", f) for f in USER_FIELDS]
+        + [("context", f) for f in CONTEXT_FIELDS]
+        + [("item", f) for f in ITEM_FIELDS]
+        + [("history", f) for f in HISTORY_COLUMNS],
+    )
+    def test_each_id_is_checked_against_its_own_field(self, group, field, value):
+        # unequal vocabularies; in `embed` an id past its field's rows is a row of the next field
+        cfg = tiny_config(vocab_sizes={f: 5 + i for i, f in enumerate(VOCAB_FIELDS)})
+        params = build_model(cfg, "DPIN", seed=4)
+        req = labeled_request(cfg, seed=31)
+        positions, _ = logged_labels([req])
+        size = TIME_BUCKETS if field == "time_bucket" else cfg.vocab_sizes[field]
+        bad = size if value == "vocab_size" else -1
+        if group == "history":
+            req.sequences.at(1)[0, HISTORY_COLUMNS.index(field)] = bad
+        elif group == "item":
+            ids = list(req.candidates[1].item_ids)
+            ids[ITEM_FIELDS.index(field)] = bad
+            req.candidates[1].item_ids = tuple(ids)
+        else:
+            fields = USER_FIELDS if group == "user" else CONTEXT_FIELDS
+            ids = list(getattr(req, f"{group}_ids"))
+            ids[fields.index(field)] = bad
+            setattr(req, f"{group}_ids", tuple(ids))
+        with pytest.raises(UsageError, match=rf"^{field} id out of range \[0, {size}\)$"):
+            score_displayed(params, prepare_batch([req], cfg), positions)
+
 
 def _reseal(blob: bytes) -> bytes:
     """Replace the closing CRC-32 so an edited body reaches the parser."""
@@ -942,10 +979,11 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="checksum"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_file_rejected(self, tmp_path, version):
         # version 1 had no CRC; version 2 stored per-head wq{h}/wk{h}/wv{h};
-        # version 3 named tensors per variant (flat_att/pos_att, wide/pal)
+        # version 3 named tensors per variant (flat_att/pos_att, wide/pal);
+        # version 4 stored one table per embedded field (embed.{field})
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, build_model(tiny_config(), "DPIN", seed=23))
         blob = path.read_bytes()
@@ -983,9 +1021,17 @@ class TestGradientFidelity:
         def build_loss(tensors):
             return ad.binary_cross_entropy(score_displayed(params, prep, positions), clicks)
 
-        err = gradient_check(build_loss, params.tensors, epsilon=1e-6, max_coords_per_tensor=6)
+        # as many probes in each field's rows of `embed` as in any other tensor
+        rng, d = np.random.default_rng(0), cfg.embed_dim
+        embed_coords = np.concatenate(
+            [rng.choice(np.arange(r.start * d, r.stop * d), size=6, replace=False) for r in params.embed_rows.values()]
+        )
+        err = gradient_check(
+            build_loss, params.tensors, epsilon=1e-6, max_coords_per_tensor=6, coords={"embed": embed_coords}
+        )
         assert err < 1e-5, f"{variant}: max relative error {err:.2e}"
         # every history record reaches the loss (the attention logit bias
         # cancels in the softmax, so only its gradient may vanish)
-        for name in ("att.hidden.w", "att.hidden.b", "att.score.w", "embed.time_bucket"):
+        for name in ("att.hidden.w", "att.hidden.b", "att.score.w"):
             assert np.any(params.tensors[name].grad != 0), name
+        assert np.any(params.tensors["embed"].grad[params.embed_rows["time_bucket"]] != 0)

@@ -44,13 +44,15 @@ def gradient_check(
     epsilon: float = 1e-6,
     max_coords_per_tensor: int = 64,
     seed: int = 0,
+    coords: Mapping[str, np.ndarray] | None = None,
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
     Returns the max over sampled coordinates of
     ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
     At most `max_coords_per_tensor` coordinates are probed per tensor to
-    bound runtime.
+    bound runtime, except that `coords` may name a tensor's flat
+    coordinates to probe in place of a sample.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise UsageError(f"epsilon must be in (0, 1e-3], got {epsilon}")
@@ -68,11 +70,13 @@ def gradient_check(
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         flat = p.data.reshape(-1)
         n = flat.size
-        if n <= max_coords_per_tensor:
-            coords = np.arange(n)
+        if coords is not None and name in coords:
+            probes = coords[name]
+        elif n <= max_coords_per_tensor:
+            probes = np.arange(n)
         else:
-            coords = rng.choice(n, size=max_coords_per_tensor, replace=False)
-        for idx in coords:
+            probes = rng.choice(n, size=max_coords_per_tensor, replace=False)
+        for idx in probes:
             keep = flat[idx]
             flat[idx] = keep + epsilon
             f_plus = float(build_loss(params).data.reshape(()))

@@ -28,6 +28,10 @@ requests:
   training after the last impression of every third request is dropped,
   so the log mixes two candidate counts J and batches group requests by J.
 
+`init`, `trained`, `world_trained` and `world_mixed_trained` hash tensors in
+sorted-name order, so they also move with the parameter layout (names and
+shapes); every other key hashes outputs only.
+
 The package comes from PYTHONPATH, so one copy of this script compares the
 sources of any two checkouts: equal digests mean equal bytes.
 """
