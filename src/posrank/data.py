@@ -162,9 +162,9 @@ def read_tsv(path, record: type) -> list:
 def write_tsv(path, record: type, rows: Iterable) -> None:
     """Write `rows`, each a `record`, as a table `read_tsv(path, record)` reads back.
 
-    A `str` value holding a tab or line break would split its row, so it
-    raises UsageError, naming the record, field and row, before the file is
-    opened.
+    A `str` value holding a tab or line break would split its row, and a row
+    whose line is whitespace only would be skipped as blank, so either raises
+    UsageError, naming the record and row, before the file is opened.
     """
     names = list(_columns(record))
     lines = []
@@ -174,6 +174,8 @@ def write_tsv(path, record: type, rows: Iterable) -> None:
         if line.count("\t") != len(names) - 1 or "\n" in line or "\r" in line:
             name = next(n for n, v in zip(names, values) if any(c in v for c in "\t\n\r"))
             raise UsageError(f"{record.__name__}.{name} of rows[{index}] holds a tab or line break")
+        if not line.strip():
+            raise UsageError(f"{record.__name__} rows[{index}] would be a blank line, which read_tsv skips")
         lines.append(line + "\n")
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(names) + "\n")
@@ -261,8 +263,11 @@ def build_position_behavior_sequences(
     `reference_ts` are counted), as are events outside positions
     1..`max_position`. Sequence 0 keeps the most recent `max_len` events,
     sequence k the most recent `max_len` logged at position k. The result
-    holds copies, so it does not keep `history` alive.
+    holds copies, so it does not keep `history` alive. Both `max_position`
+    and `max_len` must be >= 1 (UsageError).
     """
+    if max_position < 1 or max_len < 1:
+        raise UsageError(f"max_position and max_len must be >= 1, got {max_position} and {max_len}")
     ts = history[:, _TS]
     cutoff = int(ts.searchsorted(reference_ts))
     past = history[:cutoff][::-1]  # most recent first

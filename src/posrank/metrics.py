@@ -67,16 +67,19 @@ class PaucReport:
 def pauc(scores, labels, positions) -> PaucReport:
     """Impression-weighted mean of per-position AUCs.
 
-    Groups impressions by display position; positions with a single label
-    class get a NaN AUC and are excluded from both sums. Any position with
-    both classes gives the whole set both, so the overall AUC is defined
-    whenever PAUC is.
+    Groups impressions by display position, which must be a finite integer
+    (`UsageError` otherwise); positions with a single label class get a NaN
+    AUC and are excluded from both sums. Any position with both classes
+    gives the whole set both, so the overall AUC is defined whenever PAUC is.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     k = np.asarray(positions)
     if not (s.shape == y.shape == k.shape) or s.ndim != 1 or s.size == 0:
         raise UsageError("pauc: scores, labels and positions must be equal-length non-empty vectors")
+    kf = k.astype(np.float64)
+    if not np.all(np.isfinite(kf) & (kf == np.floor(kf))):
+        raise UsageError("pauc: positions must be finite integers")
 
     rows: list[PositionAuc] = []
     weighted = 0.0

@@ -22,16 +22,6 @@ from .data import (
 from .errors import UsageError
 from .model import ModelConfig, ParameterSet, predict_matrix
 
-__all__ = [
-    "Allocation",
-    "greedy_allocate",
-    "allocate_request",
-    "synthetic_request",
-    "LatencyRow",
-    "LatencyTable",
-    "benchmark_latency",
-]
-
 
 def synthetic_request(config: ModelConfig, n_items: int, seed) -> Request:
     """A deterministic request at ts 0 with full behavior sequences, for benchmarking.

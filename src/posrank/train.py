@@ -36,16 +36,6 @@ from .model import (
     score_displayed,
 )
 
-__all__ = [
-    "TrainConfig",
-    "EpochStats",
-    "GradNorm",
-    "TrainHistory",
-    "train",
-    "evaluate",
-    "score_requests",
-]
-
 
 @dataclass
 class TrainConfig:

@@ -61,6 +61,8 @@ class SimConfig:
             raise UsageError(f"examination decay exponents must be finite and >= 0, got {self.etas}")
         if not (np.isfinite(self.bid_sigma) and self.bid_sigma >= 0):
             raise UsageError(f"bid_sigma must be finite and >= 0, got {self.bid_sigma}")
+        if not np.isfinite(self.base_offset):
+            raise UsageError(f"base_offset must be finite, got {self.base_offset}")
         if self.days < 1 or self.requests_per_day < 1 or self.max_position < 1:
             raise UsageError("days, requests_per_day and max_position must be >= 1")
 

@@ -195,6 +195,15 @@ class TestFileRoundTrip:
             write_tsv(path, RawBehavior, [row, replace(row, item_id=bad)])
         assert not path.exists()
 
+    def test_whitespace_only_row_rejected_before_writing(self, tmp_path):
+        # `read_tsv` skips such a line as blank, so the row would not read back
+        record = make_dataclass("Pair", [("a", str), ("b", str)])
+        path = tmp_path / "pairs.tsv"
+        for bad in (record("", ""), record(" ", "")):
+            with pytest.raises(UsageError, match=r"Pair rows\[1\]"):
+                write_tsv(path, record, [record("x", "y"), bad])
+            assert not path.exists()
+
     @pytest.mark.parametrize("kind", [bool, float | None, list[int]], ids=["bool", "optional", "list"])
     def test_only_int_float_and_str_columns(self, tmp_path, kind):
         # `bool("False")` is True: a bool column would not read back what was written
@@ -308,6 +317,14 @@ class TestSequences:
         seqs = build_position_behavior_sequences(_history(events), reference_ts=100, max_position=2, max_len=10)
         assert seqs.at(0)[:, 0].tolist() == [2] and seqs.at(2)[:, 0].tolist() == [2]
         assert seqs.records[:, 0].tolist() == [2, 2]
+
+    @pytest.mark.parametrize("max_position, max_len", [(0, 3), (-2, 3), (3, 0), (3, -1)])
+    def test_non_positive_cut_rejected(self, max_position, max_len):
+        events = [_event(10, 1), _event(20, 2)]
+        with pytest.raises(UsageError, match="max_position and max_len must be >= 1"):
+            build_position_behavior_sequences(
+                _history(events), reference_ts=100, max_position=max_position, max_len=max_len
+            )
 
     def test_at_checks_its_range(self):
         seqs = build_position_behavior_sequences(_history([]), reference_ts=100, max_position=3, max_len=2)

@@ -121,6 +121,13 @@ class TestPauc:
         with pytest.raises(UndefinedMetricError):
             pauc([0.1, 0.2], [0, 0], [1, 1])
 
+    @pytest.mark.parametrize("bad", [1.5, float("nan")])
+    def test_non_integer_or_non_finite_position_rejected(self, bad):
+        scores = [0.9, 0.4, 0.6, 0.1, 0.8, 0.2]
+        labels = [1, 0, 1, 0, 1, 0]
+        with pytest.raises(UsageError, match="finite integers"):
+            pauc(scores, labels, [bad, bad, 2, 2, 2, 2])
+
     def test_per_position_shift_invariance(self):
         rng = np.random.default_rng(3)
         n = 300

@@ -19,3 +19,13 @@ def test_posrank_train_is_the_training_module():
 
     assert posrank.train is importlib.import_module("posrank.train")
     assert callable(posrank.train.score_requests) and callable(posrank.train.train)
+
+
+def test_public_names_are_the_submodules_errors_and_version():
+    import posrank
+
+    assert {name for name in vars(posrank) if not name.startswith("_")} == {
+        "autodiff", "data", "errors", "metrics", "model", "serving", "train", "world",
+        "FormatError", "NumericError", "PosrankError", "UndefinedMetricError", "UsageError",
+    }
+    assert posrank.__version__ == tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["version"]

@@ -59,11 +59,16 @@ class TestGenerateWorld:
             dict(etas=(float("inf"),)),
             dict(bid_sigma=-1.0),
             dict(bid_sigma=float("nan")),
+            dict(base_offset=float("nan")),
+            dict(base_offset=float("inf")),
         ],
-        ids=["negative-eta", "nan-eta", "inf-eta", "negative-bid_sigma", "nan-bid_sigma"],
+        ids=[
+            "negative-eta", "nan-eta", "inf-eta", "negative-bid_sigma", "nan-bid_sigma",
+            "nan-base_offset", "inf-base_offset",
+        ],
     )
     def test_bad_decay_or_bid_spread_rejected(self, overrides):
-        with pytest.raises(UsageError, match="exponents|bid_sigma"):
+        with pytest.raises(UsageError, match="exponents|bid_sigma|base_offset"):
             generate_world(_tiny(**overrides), seed=0)
 
 
