@@ -384,8 +384,8 @@ _MASK_OFF = -1e9
 
 
 def _affine(params: ParameterSet, name: str, x: Tensor) -> Tensor:
-    """The affine layer `name`: x @ `name.w` + `name.b`."""
-    return ad.matmul(x, params.tensors[f"{name}.w"]) + params.tensors[f"{name}.b"]
+    """The affine layer `name`: x @ `name.w` + `name.b`, one `autodiff.affine` node."""
+    return ad.affine(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"])
 
 
 def _embed_concat(params: ParameterSet, fields: tuple[str, ...], ids: np.ndarray) -> Tensor:
@@ -549,7 +549,8 @@ def transformer_encode(params: ParameterSet, v: Tensor) -> Tensor:
     Heads are a batch axis: each block projects queries, keys and values
     with one [d_model, d_model] matmul each, and head h owns columns
     h·dk … (h+1)·dk − 1 of `wq`, `wk` and `wv` (dk = d_model / heads).
-    One attention then runs over all B·H (request, head) pairs.
+    One `autodiff.attention` node then runs all B·H (request, head) pairs
+    and merges the heads back before `wo`.
     """
     cfg = params.config
     if v.ndim != 3 or v.shape[1] != cfg.max_position or v.shape[2] != cfg.d_model:
@@ -557,26 +558,14 @@ def transformer_encode(params: ParameterSet, v: Tensor) -> Tensor:
             f"transformer_encode expects [B, {cfg.max_position}, {cfg.d_model}], got {v.shape}"
         )
     b, k, dm = v.shape
-    nh = cfg.heads
-    dk = dm // nh
-    inv_sqrt_dk = 1.0 / np.sqrt(dk)
-
-    def split_heads(proj: Tensor, axes: tuple[int, ...]) -> Tensor:
-        # [B·K, d_model] -> [B, K, H, dk], permuted by `axes`, heads merged into the batch
-        split = ad.transpose(ad.reshape(proj, (b, k, nh, dk)), axes)
-        return ad.reshape(split, (b * nh,) + split.shape[2:])
-
     x = ad.reshape(v, (b * k, dm))
+    t = params.tensors
     for blk in range(cfg.blocks):
-        q = split_heads(ad.matmul(x, params.tensors[f"tf{blk}.wq"]), (0, 2, 1, 3))  # [B·H, K, dk]
-        key = split_heads(ad.matmul(x, params.tensors[f"tf{blk}.wk"]), (0, 2, 3, 1))  # [B·H, dk, K]
-        val = split_heads(ad.matmul(x, params.tensors[f"tf{blk}.wv"]), (0, 2, 1, 3))
-        attended = ad.bmm(ad.softmax(ad.bmm(q, key) * inv_sqrt_dk), val)
-        merged = ad.transpose(ad.reshape(attended, (b, nh, k, dk)), (0, 2, 1, 3))
-        mha = ad.matmul(ad.reshape(merged, (b * k, dm)), params.tensors[f"tf{blk}.wo"])
-        x = ad.layer_norm(x + mha, params.tensors[f"tf{blk}.ln1.gain"], params.tensors[f"tf{blk}.ln1.bias"])
+        q, key, val = (ad.matmul(x, t[f"tf{blk}.{w}"]) for w in ("wq", "wk", "wv"))
+        mha = ad.matmul(ad.attention(q, key, val, b, cfg.heads), t[f"tf{blk}.wo"])
+        x = ad.layer_norm(x + mha, t[f"tf{blk}.ln1.gain"], t[f"tf{blk}.ln1.bias"])
         ff = _affine(params, f"tf{blk}.ff2", ad.relu(_affine(params, f"tf{blk}.ff1", x)))
-        x = ad.layer_norm(x + ff, params.tensors[f"tf{blk}.ln2.gain"], params.tensors[f"tf{blk}.ln2.bias"])
+        x = ad.layer_norm(x + ff, t[f"tf{blk}.ln2.gain"], t[f"tf{blk}.ln2.bias"])
     return ad.reshape(x, (b, k, dm))
 
 

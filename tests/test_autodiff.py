@@ -11,7 +11,7 @@ import posrank.autodiff as ad
 from posrank.autodiff import Optimizer, Tensor
 from posrank.errors import NumericError, UsageError
 
-from verifiers import gradient_check, total_sum
+from verifiers import gradient_check, total_sum, unfused_affine, unfused_attention
 
 
 class TestSoftmax:
@@ -258,6 +258,9 @@ def _op_cases():
     c_scatter = np.random.default_rng(9).normal(size=(6, 3))
     pool_rng = np.random.default_rng(10)
     c_pool = pool_rng.normal(size=(4, 3))
+    fused_rng = np.random.default_rng(11)
+    c_affine = fused_rng.normal(size=(5, 3))
+    c_mha = fused_rng.normal(size=(6, 4))
     return [
         ("matmul", {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))},
          lambda t: total_sum(ad.matmul(t["a"], t["b"]))),
@@ -299,6 +302,12 @@ def _op_cases():
         # 8 records in sequences of 3, 0, 4 and 1 rows; the empty one pools to zeros
         ("segment_softmax_pool", {"x": pool_rng.normal(size=8), "r": pool_rng.normal(size=(8, 3))},
          lambda t: total_sum(ad.segment_softmax_pool(t["x"], t["r"], np.array([3, 0, 4, 1])) * c_pool)),
+        ("affine",
+         {"x": fused_rng.normal(size=(5, 4)), "w": fused_rng.normal(size=(4, 3)), "b": fused_rng.normal(size=3)},
+         lambda t: total_sum(ad.affine(t["x"], t["w"], t["b"]) * c_affine)),
+        # 2 sequences of 3 rows, 2 heads of 2 columns
+        ("attention", {n: fused_rng.normal(size=(6, 4)) for n in ("q", "k", "v")},
+         lambda t: total_sum(ad.attention(t["q"], t["k"], t["v"], 2, 2) * c_mha)),
     ]
 
 
@@ -441,6 +450,24 @@ class TestOptimizer:
             ref_opt.step(ref, grads)
             for n in shapes:
                 assert flat[n].data.tobytes() == ref[n].data.tobytes(), (step, n)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_binding_keeps_every_tensor_shape_and_values(self, layout):
+        rng = np.random.default_rng(15)
+        shapes = {"s": (), "v": (5,), "m": (3, 4), "t": (2, 3, 2)}
+        init = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+        if layout == "transposed":
+            init = {n: a.T for n, a in init.items()}  # non-contiguous views for every matrix and cube
+        p = {n: Tensor(a, requires_grad=True) for n, a in init.items()}
+        Optimizer(p, lr=0.1)
+        for n, t in p.items():
+            assert t.shape == init[n].shape, n
+            assert t.data.tobytes() == init[n].tobytes(), n
+
+    def test_a_tensor_bound_twice_is_rejected(self):
+        t = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(UsageError, match="two names"):
+            Optimizer({"a": t, "b": t})
 
 
 class _ReferenceOptimizer:
@@ -685,3 +712,86 @@ class TestAdditiveScores:
     def test_incompatible_shapes_rejected(self, r, q, segment, w):
         with pytest.raises(UsageError, match="additive_scores"):
             ad.additive_scores(Tensor(np.ones(r)), Tensor(np.ones(q)), np.array(segment), Tensor(np.ones(w)))
+
+
+def _output_and_grads(op, arrays, c):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    ad.backward(total_sum(out * c))
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _assert_same_bytes(got, want, names):
+    for name, a, b in zip(names, got, want):
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestAffine:
+    """The fused op is `matmul` then `add`, byte for byte."""
+
+    # rows off and on the 8-row blocks, the per-row (n == 1) kernel, no rows at all
+    @pytest.mark.parametrize("m,k,n", [(1, 4, 3), (9, 5, 1), (30, 64, 32), (16, 3, 7), (0, 3, 2)])
+    def test_forward_and_gradients_equal_the_composition(self, m, k, n):
+        rng = np.random.default_rng([m, k, n])
+        arrays = (rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=n))
+        c = rng.normal(size=(m, n))
+        fused = _output_and_grads(ad.affine, arrays, c)
+        _assert_same_bytes(fused, _output_and_grads(unfused_affine, arrays, c), ("out", "x", "w", "b"))
+
+    @pytest.mark.parametrize(
+        "x,w,b",
+        [
+            ((3, 4), (4, 2), (3,)),  # bias of the wrong width
+            ((3, 4), (4, 2), (1, 2)),  # bias with a row axis
+            ((3, 4), (4,), (2,)),  # weight vector
+            ((3, 4), (5, 2), (2,)),  # inner dimensions differ
+            ((2, 3, 4), (4, 2), (2,)),  # input with a batch axis
+        ],
+    )
+    def test_incompatible_shapes_rejected(self, x, w, b):
+        with pytest.raises(UsageError, match="affine|matmul"):
+            ad.affine(Tensor(np.ones(x)), Tensor(np.ones(w)), Tensor(np.ones(b)))
+
+
+class TestAttention:
+    """The fused op is split → bmm → ×1/√dk → softmax → bmm → merge, byte for byte."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_forward_and_gradients_equal_the_composition(self, heads, batch, k):
+        rng = np.random.default_rng([heads, batch, k])
+        arrays = [rng.normal(size=(batch * k, 32)) for _ in "qkv"]
+        c = rng.normal(size=(batch * k, 32))
+        fused = _output_and_grads(lambda q, key, v: ad.attention(q, key, v, batch, heads), arrays, c)
+        unfused = _output_and_grads(lambda q, key, v: unfused_attention(q, key, v, batch, heads), arrays, c)
+        _assert_same_bytes(fused, unfused, ("out", "q", "k", "v"))
+        # a sequence attended inside the batch has the bits it has alone
+        last = slice((batch - 1) * k, batch * k)
+        alone = ad.attention(*(Tensor(a[last]) for a in arrays), 1, heads).data
+        assert alone.tobytes() == fused[0][last].tobytes()
+
+    @pytest.mark.parametrize(
+        "shapes,batch,heads",
+        [
+            (((6, 4), (6, 4), (6, 3)), 2, 2),  # values of another width
+            (((6, 4), (4, 4), (6, 4)), 2, 2),  # fewer keys than queries
+            (((2, 3, 4),) * 3, 2, 2),  # projections with a batch axis
+            (((6, 4),) * 3, 4, 2),  # 4 sequences do not divide 6 rows
+            (((6, 4),) * 3, 0, 2),  # no sequences
+            (((6, 4),) * 3, 2, 3),  # 3 heads do not divide d_model 4
+            (((6, 4),) * 3, 2, 0),  # no heads
+        ],
+    )
+    def test_incompatible_shapes_rejected(self, shapes, batch, heads):
+        with pytest.raises(UsageError, match="attention"):
+            ad.attention(*(Tensor(np.ones(s)) for s in shapes), batch, heads)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_scores_rejected(self, bad):
+        q = np.ones((6, 4))
+        q[4, 1] = bad
+        # an infinite score meets the kernel's zero padding rows: inf * 0 warns before the check raises
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="attention scores"):
+            ad.attention(Tensor(q), Tensor(np.ones((6, 4))), Tensor(np.ones((6, 4))), 2, 2)

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import sys
 import tracemalloc
 import zlib
 
@@ -48,7 +49,7 @@ from posrank.serving import allocate_request, synthetic_request
 from posrank.train import score_requests
 
 from conftest import desk_config, labeled_request, logged_labels, tiny_config
-from verifiers import dense_interest_aggregation, gradient_check, total_sum
+from verifiers import dense_interest_aggregation, gradient_check, total_sum, unfused_affine, unfused_attention
 
 
 # the parameter groups beyond `embed` and `base` that each VARIANT_TABLE entry implies
@@ -503,6 +504,55 @@ class TestTransformer:
         for blk in range(cfg.blocks):
             for w in ("wq", "wk", "wv"):
                 assert params.tensors[f"tf{blk}.{w}"].shape == (64, 64)
+
+
+def _count_products(monkeypatch) -> dict[str, int]:
+    """Rebind `autodiff.matmul` and `bmm` to counting wrappers everywhere they are bound.
+
+    As the benchmark's tracer does, every module of the package, and here
+    also `verifiers`, that holds the original function gets the wrapper, so
+    by-value imports are counted too. The counts are calls and 2·m·k·n
+    flops per product.
+    """
+    counts = {"matmul.calls": 0, "matmul.flops": 0, "bmm.calls": 0, "bmm.flops": 0}
+
+    def counting(kind, fn):
+        def wrapper(a, b):
+            counts[f"{kind}.calls"] += 1
+            counts[f"{kind}.flops"] += 2 * int(np.prod(np.shape(a.data))) * np.shape(b.data)[-1]
+            return fn(a, b)
+
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if m is not None and n.partition(".")[0] in ("posrank", "verifiers")]
+    for kind in ("matmul", "bmm"):
+        original, wrapper = getattr(ad, kind), counting(kind, getattr(ad, kind))
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return counts
+
+
+class TestProductCounters:
+    """The fused ops make their products through `matmul` and `bmm`, so traced counters see them."""
+
+    def test_a_dpin_batch_counts_the_products_of_the_unfused_graph(self, monkeypatch):
+        cfg = desk_config()
+        params = build_model(cfg, "DPIN", seed=0)
+        requests = [labeled_request(cfg, seed) for seed in range(3)]
+        prep = prepare_batch(requests, cfg)
+        positions, _ = logged_labels(requests)
+        counts = _count_products(monkeypatch)
+        fused = score_displayed(params, prep, positions).data
+        fused_counts = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        monkeypatch.setattr(ad, "affine", unfused_affine)
+        monkeypatch.setattr(ad, "attention", unfused_attention)
+        unfused = score_displayed(params, prep, positions).data
+        assert fused_counts["bmm.calls"] == 2 * cfg.blocks
+        assert fused_counts == counts  # the calls and flops of the unfused graph
+        assert fused.tobytes() == unfused.tobytes()
 
 
 class TestCombination:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import posrank.train as train_module
-from posrank.autodiff import Tensor, backward, binary_cross_entropy
+from posrank.autodiff import Optimizer, Tensor, backward, binary_cross_entropy
 from posrank.errors import NumericError, UsageError
 from posrank.metrics import pauc
 from posrank.model import build_model, prepare_batch, save_checkpoint, score_displayed
@@ -154,6 +154,29 @@ class TestTrainLoop:
         assert set(norms) == set(squares) and "embed" in norms
         for group, sq in squares.items():
             assert norms[group] == pytest.approx(math.sqrt(sq), rel=1e-9), group
+
+    def test_a_parameter_copy_between_steps_keeps_its_bytes(self):
+        # `train` snapshots its best epoch with `copy` while the optimizer keeps writing the originals
+        params = build_model(tiny_config(), "DPIN", seed=0)
+        opt = Optimizer(params.tensors, lr=0.1)
+        rng = np.random.default_rng(2)
+
+        def step():
+            for t in params.tensors.values():
+                t.grad = rng.normal(size=t.shape)
+            opt.step()
+
+        def tensor_bytes(p):
+            return {name: t.data.tobytes() for name, t in p.tensors.items()}
+
+        step()
+        snapshot = params.copy()
+        saved = tensor_bytes(snapshot)
+        assert saved == tensor_bytes(params)
+        step()
+        step()
+        assert tensor_bytes(snapshot) == saved
+        assert all(tensor_bytes(params)[name] != saved[name] for name in saved)
 
 
 class TestEvaluationProtocols:

@@ -4,8 +4,10 @@
 tape's gradients with central finite differences; `exhaustive_allocate`
 enumerates every slot assignment of a small instance;
 `dense_interest_aggregation` is the attention on zero-padded sequences that
-`model.interest_aggregation` computes on packed records. `total_sum` reduces
-a tensor to the scalar loss that `backward` and `gradient_check` need.
+`model.interest_aggregation` computes on packed records; `unfused_affine`
+and `unfused_attention` are the op compositions that `autodiff.affine` and
+`autodiff.attention` fuse. `total_sum` reduces a tensor to the scalar loss
+that `backward` and `gradient_check` need.
 """
 
 import itertools
@@ -13,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from posrank.autodiff import Tensor, backward, bmm, gather_rows, matmul, relu, reshape, softmax
+from posrank.autodiff import Tensor, backward, bmm, gather_rows, matmul, relu, reshape, softmax, transpose
 from posrank.errors import NumericError, UndefinedMetricError, UsageError
 from posrank.model import ParameterSet
 from posrank.serving import Allocation, _check_instance
@@ -36,6 +38,31 @@ def total_sum(a: Tensor) -> Tensor:
     """The sum of every entry of `a` as a scalar tensor: a product with a column of ones."""
     n = a.data.size
     return reshape(matmul(reshape(a, (1, n)), Tensor(np.ones((n, 1)))), ())
+
+
+def unfused_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as two nodes, `matmul` then `add`: what `autodiff.affine` fuses."""
+    return matmul(x, w) + b
+
+
+def unfused_attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
+    """Multi-head attention op by op: what `autodiff.attention` fuses.
+
+    Each [batch·K, d_model] projection is split into [batch·H, K, dk] heads
+    (keys as [batch·H, dk, K]); the scores `bmm(q, k)` are scaled by 1/√dk,
+    pass a `softmax`, pool the values with a second `bmm`, and the heads are
+    merged back side by side.
+    """
+    rows, dm = q.shape
+    n, dk = rows // batch, dm // heads
+
+    def split(proj: Tensor, axes: tuple[int, ...]) -> Tensor:
+        parts = transpose(reshape(proj, (batch, n, heads, dk)), axes)
+        return reshape(parts, (batch * heads,) + parts.shape[2:])
+
+    scores = bmm(split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1))) * (1.0 / np.sqrt(dk))
+    attended = bmm(softmax(scores), split(v, (0, 2, 1, 3)))
+    return reshape(transpose(reshape(attended, (batch, heads, n, dk)), (0, 2, 1, 3)), (rows, dm))
 
 
 def gradient_check(
