@@ -27,10 +27,11 @@ are cut by `build_position_behavior_sequences`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -231,8 +232,12 @@ _NO_HISTORY = np.zeros((0, len(HISTORY_COLUMNS) + 1), dtype=np.int64)
 _NO_HISTORY.flags.writeable = False
 
 
-def _ids(vocab: Vocabulary, fields: tuple[str, ...], row) -> tuple[int, ...]:
-    return tuple(vocab.encode(f, getattr(row, f)) for f in fields)
+def _encoder(vocab: Vocabulary, fields: tuple[str, ...]) -> Callable[[object], tuple[int, ...]]:
+    """A row's ids of two or more `fields`, one dict lookup each, as `Vocabulary.encode` gives them."""
+    maps = [vocab._field(f) for f in fields]
+    tokens = attrgetter(*fields)
+    unknown = (0,) * len(fields)
+    return lambda row: tuple(map(dict.get, maps, tokens(row), unknown))
 
 
 def encode_history(behaviors: Sequence[RawBehavior], vocab: Vocabulary) -> dict[str, np.ndarray]:
@@ -240,9 +245,10 @@ def encode_history(behaviors: Sequence[RawBehavior], vocab: Vocabulary) -> dict[
 
     Rows are (ts, position, item_id, category, query, geo, hour, dow).
     """
+    ids = _encoder(vocab, HISTORY_COLUMNS[:-1])
     grouped: dict[str, list[tuple[int, ...]]] = {}
     for b in behaviors:
-        grouped.setdefault(b.user_id, []).append((b.ts, b.position) + _ids(vocab, HISTORY_COLUMNS[:-1], b))
+        grouped.setdefault(b.user_id, []).append((b.ts, b.position) + ids(b))
     history: dict[str, np.ndarray] = {}
     for user, rows in grouped.items():
         events = np.array(rows, dtype=np.int64)
@@ -271,18 +277,23 @@ def build_position_behavior_sequences(
     ts = history[:, _TS]
     cutoff = int(ts.searchsorted(reference_ts))
     past = history[:cutoff][::-1]  # most recent first
-    past = past[(past[:, _POSITION] >= 1) & (past[:, _POSITION] <= max_position)]
+    position = past[:, _POSITION]
+    # stable sort by position keeps each position's events most recent first
+    order = position.argsort(kind="stable")
+    if cutoff and not (position[order[0]] >= 1 and position[order[-1]] <= max_position):
+        past = past[(position >= 1) & (position <= max_position)]
+        position = past[:, _POSITION]
+        order = position.argsort(kind="stable")
     rows = np.empty((len(past), len(HISTORY_COLUMNS)), dtype=np.int64)
     rows[:, :-1] = past[:, _IDS]
-    rows[:, -1] = time_bucket(reference_ts - past[:, _TS])
+    # time_bucket's edges; every gap is positive, as the events precede reference_ts
+    rows[:, -1] = _BUCKET_EDGES.searchsorted(reference_ts - past[:, _TS], side="right")
 
-    # stable sort by position keeps each position's events most recent first
-    order = past[:, _POSITION].argsort(kind="stable")
-    counts = np.bincount(past[:, _POSITION], minlength=max_position + 1)  # counts[0] == 0
-    if counts.max() > max_len:  # keep each position's most recent max_len
-        rank = np.arange(len(order)) - (counts.cumsum() - counts).repeat(counts)
+    lengths = np.bincount(position, minlength=max_position + 1)  # lengths[0] == 0
+    if len(order) > max_len and lengths.max() > max_len:  # keep each position's most recent max_len
+        rank = np.arange(len(order)) - (lengths.cumsum() - lengths).repeat(lengths)
         order = order[rank < max_len]
-    lengths = np.minimum(counts, max_len)
+        lengths = np.minimum(lengths, max_len)
     lengths[0] = min(len(past), max_len)
     return PositionBehaviorSequences(
         records=rows[np.concatenate([np.arange(lengths[0]), order])],
@@ -322,12 +333,21 @@ class Request:
 
 
 def _check_impression(raw: RawImpression, max_position: int) -> None:
-    if not 1 <= raw.position <= max_position:
-        raise UsageError(f"position {raw.position} outside [1, {max_position}]")
-    if raw.click not in (0, 1):
-        raise UsageError(f"click must be 0 or 1, got {raw.click}")
-    if not (np.isfinite(raw.bid) and raw.bid > 0):
-        raise UsageError(f"bid must be positive and finite, got {raw.bid}")
+    """UsageError naming the field unless `raw` logs a valid impression.
+
+    Its position must be an `int` in [1, `max_position`], its click the `int`
+    0 or 1 (a bool is neither), its bid a finite positive `int` or `float`,
+    and its traffic one of `TRAFFIC_KINDS`.
+    """
+    position, click, bid = raw.position, raw.click, raw.bid
+    if type(position) is not int:
+        raise UsageError(f"position must be an int, got {position!r}")
+    if not 1 <= position <= max_position:
+        raise UsageError(f"position {position} outside [1, {max_position}]")
+    if type(click) is not int or click not in (0, 1):
+        raise UsageError(f"click must be 0 or 1, got {click!r}")
+    if not (isinstance(bid, (int, float)) and not isinstance(bid, bool) and math.isfinite(bid) and bid > 0):
+        raise UsageError(f"bid must be positive and finite, got {bid!r}")
     if raw.traffic not in TRAFFIC_KINDS:
         raise UsageError(f"traffic must be one of {TRAFFIC_KINDS}, got {raw.traffic!r}")
 
@@ -367,11 +387,12 @@ def group_requests(
     for raw in raw_impressions:
         by_request.setdefault(raw.request_id, []).append(raw)
 
+    user_ids, context_ids, item_ids = (_encoder(vocab, f) for f in (USER_FIELDS, CONTEXT_FIELDS, ITEM_FIELDS))
     requests: list[Request] = []
     for rid, raws in by_request.items():
-        raws = sorted(raws, key=lambda r: r.position)
         for raw in raws:
             _check_impression(raw, max_position)
+        raws.sort(key=attrgetter("position"))
         _check_request(rid, raws)
         first = raws[0]
         history = history_by_user.get(first.user_id, _NO_HISTORY)
@@ -381,9 +402,9 @@ def group_requests(
                 day=first.day,
                 traffic=first.traffic,
                 ts=first.ts,
-                user_ids=_ids(vocab, USER_FIELDS, first),
-                context_ids=_ids(vocab, CONTEXT_FIELDS, first),
-                candidates=[Candidate(item_ids=_ids(vocab, ITEM_FIELDS, r), bid=r.bid) for r in raws],
+                user_ids=user_ids(first),
+                context_ids=context_ids(first),
+                candidates=[Candidate(item_ids=item_ids(r), bid=r.bid) for r in raws],
                 sequences=build_position_behavior_sequences(history, first.ts, max_position, max_len),
                 positions=[r.position for r in raws],
                 clicks=[r.click for r in raws],

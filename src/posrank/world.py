@@ -13,12 +13,25 @@ A configurable share of requests is top-k randomized: the chosen slate is
 shuffled before display, which breaks the selection bias of the logging
 policy and makes the randomized partition suitable for unbiased
 evaluation.
+
+`simulate_traffic` draws request i from its own stream,
+``default_rng([seed, i])``, so a world with more days only appends to the
+log. The j-th request of day d is logged at ts
+``d * 86400 + j * 86400 // requests_per_day``, a distinct second for each
+request, hence at most 86,400 requests a day. Each call builds two dot
+tables, [n_users, n_items] and [n_queries, n_items], so (n_users +
+n_queries) * n_items floats, holding the user-item and query-item dots
+that `relevance_probability` makes, bit for bit. They are built from the
+factors the world holds at the call, so factors overwritten after
+`generate_world` take effect. The impressions share one `str` per token
+of the world (user, segment, query, geo, hour, dow, item, category) and
+one request id per request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from operator import attrgetter
 
 import numpy as np
 
@@ -65,6 +78,9 @@ class SimConfig:
             raise UsageError(f"base_offset must be finite, got {self.base_offset}")
         if self.days < 1 or self.requests_per_day < 1 or self.max_position < 1:
             raise UsageError("days, requests_per_day and max_position must be >= 1")
+        if self.requests_per_day > SECONDS_PER_DAY:
+            # two requests would share a ts, and a click of one would leak into the other's history
+            raise UsageError(f"requests_per_day must be <= {SECONDS_PER_DAY}, got {self.requests_per_day}")
 
 
 @dataclass
@@ -185,53 +201,24 @@ def oracle_ctr(
 # -- traffic simulation -------------------------------------------------------
 
 
-def _simulate_request(world: SyntheticWorld, request_index: int) -> Iterator[RawImpression]:
-    cfg = world.config
-    rng = np.random.default_rng([world.seed, request_index])  # one reproducible stream per request
-    day = request_index // cfg.requests_per_day
-    within = request_index % cfg.requests_per_day
-    ts = day * SECONDS_PER_DAY + (within * SECONDS_PER_DAY) // cfg.requests_per_day
-    hour = (ts % SECONDS_PER_DAY) // 3600
-    dow = day % 7
+def _dot_tables(world: SyntheticWorld) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's and every query's factor dot with every item: [n_users, n_items], [n_queries, n_items].
 
-    user = int(rng.integers(cfg.n_users))
-    query = int(rng.integers(cfg.n_queries))
-    geo = int(rng.integers(cfg.n_geos))
-    candidates = rng.choice(cfg.n_items, size=min(cfg.candidates_per_request, cfg.n_items), replace=False)
-    bids = np.exp(rng.normal(0.0, cfg.bid_sigma, size=candidates.size))
+    Each entry is the `[1, 8] @ [8, 1]` product `relevance_probability`
+    makes for one item, on the same item-factor copy, so a request's logits
+    read from these tables keep that function's bits.
+    """
+    items = world.item_factors[np.arange(world.config.n_items)][:, None, :]
+    user_dots, query_dots = (
+        np.matmul(items, factors[:, None, :, None])[..., 0, 0] for factors in (world.user_factors, world.query_affinity)
+    )
+    return user_dots, query_dots
 
-    rel = relevance_probability(world, user, query, candidates)
-    order = np.argsort(-rel, kind="stable")
 
-    k_eff = min(cfg.max_position, candidates.size)
-    top = order[:k_eff]
-    randomized = bool(rng.random() < cfg.randomized_fraction)
-    if randomized:
-        top = top[rng.permutation(k_eff)]
-
-    traffic = "randomized" if randomized else "regular"
-    segment = int(world.user_segments[user])
-    slots = np.arange(1, k_eff + 1)
-    clicks = rng.random(k_eff) < examination_probability(world, slots, segment) * rel[top]
-    for slot, (cand_idx, click) in enumerate(zip(top.tolist(), clicks.tolist()), start=1):
-        item = int(candidates[cand_idx])
-        yield RawImpression(
-            request_id=f"r{request_index:08d}",
-            day=day,
-            traffic=traffic,
-            user_id=f"u{user}",
-            segment=f"s{segment}",
-            query=f"q{query}",
-            geo=f"g{geo}",
-            hour=str(hour),
-            dow=str(dow),
-            item_id=f"i{item}",
-            category=f"c{int(world.item_categories[item])}",
-            position=slot,
-            bid=float(bids[cand_idx]),
-            click=int(click),
-            ts=ts,
-        )
+def _tokens(prefix: str, ids) -> list[str]:
+    """The token of each of `ids`, one shared `str` per distinct id."""
+    names = {i: f"{prefix}{i}" for i in set(ids)}
+    return [names[i] for i in ids]
 
 
 def simulate_traffic(
@@ -246,10 +233,44 @@ def simulate_traffic(
     """
     if workers != 1:
         raise UsageError(f"simulate_traffic runs in one process; workers must be 1, got {workers!r}")
-    n_requests = world.config.days * world.config.requests_per_day
-    impressions = [imp for idx in range(n_requests) for imp in _simulate_request(world, idx)]
-    clicked = (imp for imp in impressions if imp.click)
-    behaviors = [RawBehavior(*[getattr(imp, name) for name in BEHAVIOR_COLUMNS]) for imp in clicked]
+    cfg = world.config
+    user_dots, query_dots = _dot_tables(world)
+    segment_of = world.user_segments.tolist()
+    users, segments = _tokens("u", range(cfg.n_users)), _tokens("s", segment_of)
+    queries, geos = _tokens("q", range(cfg.n_queries)), _tokens("g", range(cfg.n_geos))
+    hours, dows = _tokens("", range(24)), _tokens("", range(7))
+    items, categories = _tokens("i", range(cfg.n_items)), _tokens("c", world.item_categories.tolist())
+    n_candidates = min(cfg.candidates_per_request, cfg.n_items)
+    k_eff = min(cfg.max_position, n_candidates)
+    slots = range(1, k_eff + 1)
+
+    impressions: list[RawImpression] = []
+    for index in range(cfg.days * cfg.requests_per_day):
+        rng = np.random.default_rng([world.seed, index])  # one reproducible stream per request
+        day, within = divmod(index, cfg.requests_per_day)
+        ts = day * SECONDS_PER_DAY + (within * SECONDS_PER_DAY) // cfg.requests_per_day
+
+        user = int(rng.integers(cfg.n_users))
+        query = int(rng.integers(cfg.n_queries))
+        geo = int(rng.integers(cfg.n_geos))
+        candidates = rng.choice(cfg.n_items, size=n_candidates, replace=False)
+        bids = np.exp(rng.normal(0.0, cfg.bid_sigma, size=n_candidates))
+
+        rel = logistic(user_dots[user, candidates] + query_dots[query, candidates] + cfg.base_offset)
+        top = np.argsort(-rel, kind="stable")[:k_eff]
+        randomized = rng.random() < cfg.randomized_fraction
+        if randomized:
+            top = top[rng.permutation(k_eff)]
+        clicks = rng.random(k_eff) < world.examination[segment_of[user], :k_eff] * rel[top]
+
+        request = (f"r{index:08d}", day, "randomized" if randomized else "regular", users[user], segments[user])
+        context = (queries[query], geos[geo], hours[(ts % SECONDS_PER_DAY) // 3600], dows[day % 7])
+        for slot, item, bid, click in zip(slots, candidates[top].tolist(), bids[top].tolist(), clicks.tolist()):
+            impressions.append(
+                RawImpression(*request, *context, items[item], categories[item], slot, bid, int(click), ts)
+            )
+    behavior = attrgetter(*BEHAVIOR_COLUMNS)
+    behaviors = [RawBehavior(*behavior(imp)) for imp in impressions if imp.click]
     return impressions, behaviors
 
 

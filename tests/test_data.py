@@ -1,6 +1,7 @@
 """Vocabularies, TSV round-trips of logs and report rows, and behavior sequence construction."""
 
 import math
+import pickle
 from dataclasses import fields, make_dataclass, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from posrank.serving import LatencyRow
 from posrank.train import EpochStats, GradNorm, TrainConfig, train
 
 from conftest import labeled_request, tiny_config
+from verifiers import reference_sequences
 
 
 def _imp(**kw) -> RawImpression:
@@ -100,6 +102,16 @@ class TestEncodeImpression:
             self._group([_imp(bid=0.0)])
         with pytest.raises(UsageError, match="traffic must be one of"):
             self._group([_imp(traffic="organic")])
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("bid", "x"), ("bid", None), ("position", "3"), ("position", 2.0), ("position", True), ("click", True)],
+        ids=["str-bid", "none-bid", "str-position", "float-position", "bool-position", "bool-click"],
+    )
+    def test_a_value_of_the_wrong_type_is_rejected(self, name, value):
+        vocab = Vocabulary.build([_imp()])
+        with pytest.raises(UsageError, match=f"^{name} must be .*, got {value!r}$"):
+            self._group([_imp(**{name: value})], vocab)
 
     @pytest.mark.parametrize("bid", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_bid_from_a_file_rejected(self, tmp_path, bid):
@@ -363,6 +375,18 @@ class TestSequences:
         assert all(by_item[int(row[0])] == row.tolist() for row in seqs.at(0))
         assert seqs.lengths.tolist() == [5] + [min(5, sum(e[1] == k for e in shown)) for k in range(1, 5)]
         assert len(seqs.records) == seqs.lengths.sum()
+
+    @pytest.mark.parametrize("max_position, max_len", [(1, 1), (3, 2), (4, 30), (10, 5)])
+    def test_cuts_equal_the_reference(self, max_position, max_len):
+        # positions outside 1..K, clicks at the reference ts and positions over max_len
+        rng = np.random.default_rng(max_position * 100 + max_len)
+        for n in (0, 1, 2, 7, 40):
+            ts = np.sort(rng.integers(0, 60, size=n)) * 60
+            history = _history([_event(int(t), int(rng.integers(-1, 7)), item=i) for i, t in enumerate(ts)])
+            for reference_ts in (0, 1200, 1800, 3600):
+                seqs = build_position_behavior_sequences(history, reference_ts, max_position, max_len)
+                expected = reference_sequences(history, reference_ts, max_position, max_len)
+                assert pickle.dumps(seqs) == pickle.dumps(expected)
 
     def test_sequences_own_their_rows(self):
         # a view would keep a larger buffer (the user's whole history) alive

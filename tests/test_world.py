@@ -5,9 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
+from posrank.autodiff import logistic
+from posrank.data import RawBehavior, RawImpression, Vocabulary, encode_history, group_requests, read_tsv, write_tsv
 from posrank.errors import UsageError
 from posrank.world import (
     SimConfig,
+    _dot_tables,
     examination_probability,
     generate_world,
     oracle_ctr,
@@ -16,6 +19,7 @@ from posrank.world import (
     simulate_traffic,
     user_dependent_config,
 )
+from verifiers import reference_encode_history, reference_group_requests, reference_simulate_traffic
 
 
 def _tiny(**kw):
@@ -50,6 +54,12 @@ class TestGenerateWorld:
     def test_config_validation(self):
         with pytest.raises(UsageError):
             generate_world(_tiny(randomized_fraction=1.5), seed=0)
+
+    def test_at_most_one_request_a_second(self):
+        # validate alone: a world of this size is never simulated
+        SimConfig(requests_per_day=86_400).validate()
+        with pytest.raises(UsageError, match="requests_per_day must be <= 86400, got 86401"):
+            SimConfig(requests_per_day=86_401).validate()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -318,3 +328,89 @@ class TestSimulation:
         with pytest.raises(UsageError, match="workers"):
             simulate_traffic(world, workers=workers)
         assert simulate_traffic(world, workers=1) == simulate_traffic(world)
+
+
+_SMALL = dict(n_users=20, n_items=40, n_queries=5, requests_per_day=60, days=3)
+
+
+def _overwritten_world():
+    # factors replaced after generate_world, by new, strided and column-major arrays and in place
+    world = generate_world(user_dependent_config(**_SMALL), seed=8)
+    world.user_factors = np.asfortranarray(3.0 * world.user_factors)
+    world.query_affinity = world.query_affinity[::-1]
+    world.item_factors[:5] = 0.5
+    return world
+
+_WORLDS = {
+    "user_dependent": lambda: generate_world(user_dependent_config(**_SMALL), seed=1),
+    "separable": lambda: generate_world(separable_config(**_SMALL), seed=2),
+    "fewer_candidates_than_slots": lambda: generate_world(user_dependent_config(candidates_per_request=6, **_SMALL), 3),
+    "none_randomized": lambda: generate_world(user_dependent_config(randomized_fraction=0.0, **_SMALL), seed=4),
+    "all_randomized": lambda: generate_world(user_dependent_config(randomized_fraction=1.0, **_SMALL), seed=5),
+    "factors_overwritten": _overwritten_world,
+}
+
+
+def _by_value(requests):
+    return [
+        (r.request_id, r.day, r.traffic, r.ts, r.user_ids, r.context_ids, r.candidates, r.positions, r.clicks,
+         r.sequences.records.tobytes(), r.sequences.lengths.tobytes(), r.sequences.leaked)
+        for r in requests
+    ]
+
+
+class TestDefinitionalPath:
+    """`simulate_traffic` and `group_requests` against the request-by-request references.
+
+    The log's pickle bytes move: `simulate_traffic` shares one `str` per token
+    of the world, and pickle writes a shared object once and refers back to it
+    after that. The log's values and its `write_tsv` bytes do not move.
+    """
+
+    @pytest.mark.parametrize("name", list(_WORLDS))
+    def test_log_equals_the_reference(self, name, tmp_path):
+        world = _WORLDS[name]()
+        log, expected = simulate_traffic(world), reference_simulate_traffic(world)
+        assert log == expected
+        for record, rows, reference_rows in zip((RawImpression, RawBehavior), log, expected):
+            write_tsv(tmp_path / "log.tsv", record, rows)
+            write_tsv(tmp_path / "reference.tsv", record, reference_rows)
+            assert (tmp_path / "log.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+
+    @pytest.mark.parametrize("name", list(_WORLDS))
+    @pytest.mark.parametrize("max_position, max_len", [(10, 30), (10, 2)])
+    def test_requests_equal_the_reference(self, name, max_position, max_len):
+        world = _WORLDS[name]()
+        (impressions, behaviors), (raw, raw_behaviors) = simulate_traffic(world), reference_simulate_traffic(world)
+        vocab = Vocabulary.build(impressions)
+        history = encode_history(behaviors, vocab)
+        expected = reference_encode_history(raw_behaviors, vocab)
+        assert list(history) == list(expected)
+        assert all(history[user].tobytes() == expected[user].tobytes() for user in expected)
+        requests = group_requests(impressions, vocab, history, max_position, max_len)
+        reference = reference_group_requests(raw, vocab, expected, max_position, max_len)
+        assert pickle.dumps(requests) == pickle.dumps(reference)
+
+    def test_a_log_read_back_from_tsv_groups_alike(self, tmp_path):
+        impressions, behaviors = simulate_traffic(_WORLDS["user_dependent"]())
+        write_tsv(tmp_path / "impressions.tsv", RawImpression, impressions)
+        write_tsv(tmp_path / "behaviors.tsv", RawBehavior, behaviors)
+        read = read_tsv(tmp_path / "impressions.tsv", RawImpression)
+        vocab = Vocabulary.build(impressions)
+        history = encode_history(read_tsv(tmp_path / "behaviors.tsv", RawBehavior), vocab)
+        assert _by_value(group_requests(read, vocab, history, 10, 30)) == _by_value(
+            group_requests(impressions, vocab, encode_history(behaviors, vocab), 10, 30)
+        )
+
+    @pytest.mark.parametrize("name", list(_WORLDS))
+    def test_dot_tables_give_relevance_bits(self, name):
+        world = _WORLDS[name]()
+        cfg = world.config
+        user_dots, query_dots = _dot_tables(world)
+        assert user_dots.shape == (cfg.n_users, cfg.n_items) and query_dots.shape == (cfg.n_queries, cfg.n_items)
+        items = np.arange(cfg.n_items)
+        for user in range(cfg.n_users):
+            for query in range(cfg.n_queries):
+                tables = logistic(user_dots[user, items] + query_dots[query, items] + cfg.base_offset)
+                exact = [relevance_probability(world, user, query, item) for item in range(cfg.n_items)]
+                assert tables.tobytes() == np.array(exact).tobytes()

@@ -32,6 +32,11 @@ requests:
 sorted-name order, so they also move with the parameter layout (names and
 shapes); every other key hashes outputs only.
 
+A top-level `world` entry hashes that world's log and requests:
+
+* `log`: the `write_tsv` bytes of its impressions, then of its behaviors;
+* `requests`: the pickled output of `group_requests` on that log.
+
 The package comes from PYTHONPATH, so one copy of this script compares the
 sources of any two checkouts: equal digests mean equal bytes.
 """
@@ -41,12 +46,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import pickle
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from posrank import world
-from posrank.data import VOCAB_FIELDS, Vocabulary, encode_history, group_requests
+from posrank.data import VOCAB_FIELDS, RawBehavior, RawImpression, Vocabulary, encode_history, group_requests, write_tsv
 from posrank.model import VARIANTS, ModelConfig, ParameterSet, build_model, predict_matrix
 from posrank.serving import synthetic_request
 from posrank.train import TrainConfig, score_requests, train
@@ -81,14 +89,30 @@ def labelled_requests(cfg: ModelConfig, seed: int) -> list:
     return requests
 
 
-def world_requests(seed: int) -> tuple[ModelConfig, list]:
-    """The desk config at the vocabulary of a small simulated world, and its requests."""
+def log_digest(impressions: list, behaviors: list) -> str:
+    """sha256 of the `write_tsv` bytes of `impressions`, then of `behaviors`."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for record, rows in ((RawImpression, impressions), (RawBehavior, behaviors)):
+            path = Path(tmp) / "log.tsv"
+            write_tsv(path, record, rows)
+            h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def world_requests(seed: int) -> tuple[ModelConfig, list, dict[str, str]]:
+    """The desk config at the vocabulary of a small simulated world, its requests, and their digests."""
     sim = world.user_dependent_config(**WORLD)
     impressions, behaviors = world.simulate_traffic(world.generate_world(sim, seed))
     vocab = Vocabulary.build(impressions)
     cfg = ModelConfig(vocab_sizes={f: vocab.size(f) for f in VOCAB_FIELDS})
     history = encode_history(behaviors, vocab)
-    return cfg, group_requests(impressions, vocab, history, cfg.max_position, cfg.max_len)
+    requests = group_requests(impressions, vocab, history, cfg.max_position, cfg.max_len)
+    digests = {
+        "log": log_digest(impressions, behaviors),
+        "requests": hashlib.sha256(pickle.dumps(requests, protocol=5)).hexdigest()[:16],
+    }
+    return cfg, requests, digests
 
 
 def mixed_candidate_counts(requests: list) -> list:
@@ -107,10 +131,10 @@ def main() -> None:
     args = parser.parse_args()
     cfg = ModelConfig(vocab_sizes={f: 64 for f in VOCAB_FIELDS})
     requests = labelled_requests(cfg, args.seed)
-    world_cfg, logged = world_requests(args.seed)
+    world_cfg, logged, world_digests = world_requests(args.seed)
     last_day = max(r.day for r in logged)
     mixed = mixed_candidate_counts(logged)
-    out = {}
+    out = {"world": world_digests}
     for variant in VARIANTS:
         params = build_model(cfg, variant, args.seed)
         row = {"init": tensors_digest(params)}
